@@ -81,7 +81,7 @@ def _fail(message: str) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from .core import run_algo, run_exact_bvc
+    from .core import RunSpec, run
     from .core.bounds import exact_bvc_min_n, theorem9_bound
     from .obs import trace_event
     from .system import Adversary
@@ -104,13 +104,15 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print(f"n={n}, d={d}, f={f}; exact BVC needs n >= {exact_bvc_min_n(d, f)}")
     trace_event("demo.start", n=n, d=d, f=f, seed=args.seed)
     try:
-        run_exact_bvc(inputs, f=f, adversary=Adversary(faulty=[n - 1]))
+        run(RunSpec(algorithm="exact", inputs=inputs, f=f,
+                    adversary=Adversary(faulty=[n - 1])))
         if not args.quiet:
             print("exact BVC: succeeded (Γ nonempty for this instance)")
     except ValueError as exc:
         if not args.quiet:
             print(f"exact BVC: {exc}")
-    out = run_algo(inputs, f=f, adversary=Adversary(faulty=[n - 1]))
+    out = run(RunSpec(algorithm="algo", inputs=inputs, f=f,
+                      adversary=Adversary(faulty=[n - 1])))
     trace_event("demo.done", ok=out.ok, delta=out.delta_used)
     print(f"ALGO: ok={out.ok}  δ*={out.delta_used:.6f}  "
           f"(Theorem 9 bound {theorem9_bound(out.honest_inputs, n):.6f})")

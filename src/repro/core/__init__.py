@@ -3,8 +3,8 @@
 Problem specifications and checkers, the complete bound catalogue
 (Theorems 1–6, Table 1, Conjectures 1–4), the synchronous algorithms
 (exact BVC, ALGO, k-relaxed, scalar), the asynchronous Relaxed Verified
-Averaging, the executable impossibility constructions, and high-level
-runners.
+Averaging, the executable impossibility constructions, and the one
+runner, ``run(RunSpec(...))``.
 """
 
 from .algo_sync import AlgoProcess, algo_decision
@@ -45,16 +45,7 @@ from .problems import (
     ValidityReport,
     agreement_diameter,
 )
-from .runner import (
-    ConsensusOutcome,
-    run,
-    run_algo,
-    run_averaging,
-    run_exact_bvc,
-    run_iterative,
-    run_k_relaxed,
-    run_scalar,
-)
+from .runner import ConsensusOutcome, run
 from .runspec import ALGORITHMS, RunSpec
 from .scalar import (
     ScalarConsensusProcess,
@@ -101,12 +92,6 @@ __all__ = [
     "run",
     "run_ring",
     "rounds_for_epsilon",
-    "run_algo",
-    "run_averaging",
-    "run_exact_bvc",
-    "run_iterative",
-    "run_k_relaxed",
-    "run_scalar",
     "scalar_decision",
     "scalar_decision_vector",
     "theorem3_inputs",

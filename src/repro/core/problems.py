@@ -39,10 +39,26 @@ __all__ = [
     "KRelaxedApproximateBVC",
     "DeltaPExactBVC",
     "DeltaPApproximateBVC",
+    "MEMBERSHIP_TOL",
     "agreement_diameter",
+    "check_headroom",
 ]
 
 PNorm = Union[float, int]
+
+#: Default numerical slack of the validity membership test.
+MEMBERSHIP_TOL = 1e-7
+
+
+def check_headroom(delta: float) -> float:
+    """``delta`` plus the solver-tolerance headroom for checking an
+    achieved δ*.
+
+    δ* is a strict minimum: a decision built from it sits exactly at
+    distance δ* from some subset hull, so re-measured distances tip over
+    an unpadded δ* by about 1e-7.
+    """
+    return delta * (1.0 + 1e-6) + 1e-9
 
 
 def agreement_diameter(decisions: Mapping[int, np.ndarray]) -> float:
@@ -109,7 +125,7 @@ class ProblemSpec:
         decisions: Mapping[int, np.ndarray],
         *,
         terminated: bool = True,
-        tol: float = 1e-7,
+        tol: float = MEMBERSHIP_TOL,
     ) -> ValidityReport:
         """Validate an execution outcome.
 

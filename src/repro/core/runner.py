@@ -1,27 +1,26 @@
-"""High-level entry point: build a system, run it, check it.
+"""The one entry point: build a system, run it, check it.
 
-One declarative entry point runs everything: describe the execution as a
-:class:`~repro.core.runspec.RunSpec` and call :func:`run`::
+Describe the execution as a :class:`~repro.core.runspec.RunSpec` and
+call :func:`run`::
 
     from repro.core import RunSpec, run
     out = run(RunSpec(algorithm="algo", inputs=inputs, f=1,
                       adversary=Adversary(faulty=[3])))
 
-``run`` dispatches on ``spec.algorithm``, executes the full protocol
-stack, checks the outcome against the appropriate problem spec, and
-returns a :class:`ConsensusOutcome` bundling decisions, the checker's
-verdict, and run statistics.
-
-The historical per-algorithm entry points (``run_exact_bvc``,
-``run_algo``, ``run_k_relaxed``, ``run_scalar``, ``run_iterative``,
-``run_averaging``) are kept as thin forwarding shims so existing call
-sites keep working; new code should construct a ``RunSpec``.
+Every algorithm takes the same path: derive the inputs, build one
+process per pid, run them on the selected transport, collect the
+correct decisions, and check them exactly once against the algorithm's
+problem spec.  An algorithm contributes only its process builder and
+the rule that picks its :class:`~repro.core.problems.ProblemSpec` and
+membership tolerance from the run (:data:`_ALGORITHMS`).  The result is
+a :class:`ConsensusOutcome` bundling decisions, the checker's verdict,
+and run statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,14 +29,15 @@ from ..obs.perf import perf_phase
 from ..obs.probes import Probe, ProbeReport, build_probes
 from ..system.adversary import Adversary
 from ..system.crypto import SignatureScheme
-from ..system.process import SyncProcess
-from ..system.scheduler import DeliveryPolicy, RunResult
+from ..system.process import AsyncProcess, SyncProcess
+from ..system.scheduler import RunResult
 from ..system.transport.base import get_transport
 from .algo_sync import AlgoProcess
 from .averaging import VerifiedAveragingProcess, rounds_for_epsilon
 from .exact_bvc import ExactBVCProcess
 from .krelaxed import KRelaxedProcess
 from .problems import (
+    MEMBERSHIP_TOL,
     ApproximateBVC,
     DeltaPApproximateBVC,
     DeltaPExactBVC,
@@ -45,23 +45,23 @@ from .problems import (
     KRelaxedExactBVC,
     ProblemSpec,
     ValidityReport,
+    check_headroom,
 )
 from .runspec import ALGORITHMS, RunSpec
 from .scalar import ScalarConsensusProcess
 
 if TYPE_CHECKING:
     from ..obs.metrics import MetricsRegistry
-    from ..system.topology import Topology
 
-__all__ = ["ConsensusOutcome", "RunSpec", "run", "run_exact_bvc", "run_algo",
-           "run_k_relaxed", "run_scalar", "run_averaging", "run_iterative"]
+__all__ = ["ConsensusOutcome", "RunSpec", "run"]
 
-PNorm = Union[float, int]
-
-#: builder invoked per pid: (n, f, pid, input, broadcast, scheme) -> process
-ProcessFactory = Callable[
-    [int, int, int, np.ndarray, str, Optional[SignatureScheme]], SyncProcess
-]
+#: What a builder hands the shared path: one process per pid, plus the
+#: scheduler keywords specific to the algorithm.
+Build = tuple[Sequence[Union[SyncProcess, AsyncProcess]], dict[str, Any]]
+#: (spec, inputs, adversary, rng) -> Build
+Builder = Callable[[RunSpec, np.ndarray, Adversary, np.random.Generator], Build]
+#: (spec, d, delta_used) -> (problem spec, membership tolerance)
+ProblemFor = Callable[[RunSpec, int, Optional[float]], tuple[ProblemSpec, float]]
 
 
 @dataclass
@@ -72,12 +72,23 @@ class ConsensusOutcome:
     report: ValidityReport
     result: RunResult
     honest_inputs: np.ndarray
+    #: The spec and membership tolerance ``report`` was checked with.
+    problem: ProblemSpec
+    tol: float
     delta_used: Optional[float] = None
 
     @property
     def ok(self) -> bool:
         """Agreement + validity + termination all hold."""
         return self.report.ok
+
+    def recheck(self, decisions: Mapping[int, np.ndarray]) -> ValidityReport:
+        """Judge another decision map for this run — e.g. a perturbed copy
+        of ``decisions`` — by the spec and tolerance ``report`` used."""
+        return self.problem.check(
+            self.honest_inputs, decisions,
+            terminated=self.result.completed, tol=self.tol,
+        )
 
     @property
     def metrics(self) -> "MetricsRegistry":
@@ -109,161 +120,46 @@ def _spec_probes(spec: RunSpec) -> list[Probe]:
     return objects + built
 
 
-def _prep(
-    inputs: np.ndarray, adversary: Optional[Adversary]
-) -> tuple[np.ndarray, Adversary, np.ndarray]:
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    adversary = adversary or Adversary.none()
-    n = inputs.shape[0]
-    honest = np.array(
-        [inputs[p] for p in range(n) if not adversary.is_faulty(p)]
-    )
-    return inputs, adversary, honest
+def _broadcast_all(cls: Callable[..., SyncProcess], *knobs: str) -> Builder:
+    """Builder for the synchronous broadcast-all algorithms.
 
+    ``knobs`` name the :class:`RunSpec` fields passed through to ``cls``
+    as keywords of the same name.
+    """
 
-def _run_sync(
-    make_process: ProcessFactory,
-    inputs: np.ndarray,
-    f: int,
-    adversary: Optional[Adversary],
-    spec: ProblemSpec,
-    *,
-    broadcast: str = "eig",
-    transport: str = "sim",
-    seed: int = 0,
-    max_rounds: int = 64,
-    probes: Sequence[Probe] = (),
-) -> ConsensusOutcome:
-    inputs, adversary, honest = _prep(inputs, adversary)
-    n = inputs.shape[0]
-    rng = np.random.default_rng(seed)
-    scheme = SignatureScheme(n, rng) if broadcast == "dolev-strong" else None
-    procs: list[SyncProcess] = [
-        make_process(n, f, pid, inputs[pid], broadcast, scheme) for pid in range(n)
-    ]
-    backend = get_transport(transport)
-    result = backend.run_sync(
-        procs,
-        f,
-        adversary=adversary,
-        rng=rng,
-        max_rounds=max_rounds,
-        sign=scheme.signer_for(set(adversary.faulty)) if scheme else None,
-        probes=probes,
-        seed=seed,
-    )
-    decisions = {
-        pid: np.asarray(v, dtype=float)
-        for pid, v in result.correct_decisions.items()
-    }
-    report = spec.check(honest, decisions, terminated=result.completed)
-    delta = None
-    for pid, proc in enumerate(procs):
-        if pid not in adversary.faulty and getattr(proc, "delta_used", None) is not None:
-            delta = proc.delta_used
-            break
-    return ConsensusOutcome(decisions, report, result, honest, delta)
-
-
-# ---------------------------------------------------------------------------
-# per-algorithm handlers (dispatched by `run`)
-# ---------------------------------------------------------------------------
-
-
-def _handle_exact(spec: RunSpec) -> ConsensusOutcome:
-    inputs = spec.resolved_inputs()
-    d = inputs.shape[1]
-
-    def make(
-        n: int, f_: int, pid: int, v: np.ndarray,
-        broadcast_: str, scheme: Optional[SignatureScheme],
-    ) -> SyncProcess:
-        return ExactBVCProcess(n, f_, pid, v, broadcast=broadcast_, scheme=scheme)
-
-    return _run_sync(make, inputs, spec.f, spec.adversary, ExactBVC(d, spec.f),
-                     broadcast=spec.broadcast, transport=spec.transport,
-                     seed=spec.seed, max_rounds=spec.max_rounds,
-                     probes=_spec_probes(spec))
-
-
-def _handle_algo(spec: RunSpec) -> ConsensusOutcome:
-    inputs, adversary, honest = _prep(spec.resolved_inputs(), spec.adversary)
-    d = inputs.shape[1]
-    p = spec.p
-
-    def make(
-        n: int, f_: int, pid: int, v: np.ndarray,
-        broadcast_: str, scheme: Optional[SignatureScheme],
-    ) -> SyncProcess:
-        return AlgoProcess(
-            n, f_, pid, v, p=p, broadcast=broadcast_, scheme=scheme
+    def build(
+        spec: RunSpec, inputs: np.ndarray, adversary: Adversary,
+        rng: np.random.Generator,
+    ) -> Build:
+        n = inputs.shape[0]
+        scheme = (
+            SignatureScheme(n, rng) if spec.broadcast == "dolev-strong" else None
         )
+        extra = {knob: getattr(spec, knob) for knob in knobs}
+        procs = [
+            cls(n, spec.f, pid, inputs[pid], broadcast=spec.broadcast,
+                scheme=scheme, **extra)
+            for pid in range(n)
+        ]
+        sign = scheme.signer_for(set(adversary.faulty)) if scheme else None
+        return procs, {"max_rounds": spec.max_rounds, "sign": sign}
 
-    # Run with a placeholder spec, then re-check against the achieved δ*.
-    outcome = _run_sync(
-        make, inputs, spec.f, adversary,
-        DeltaPExactBVC(d, spec.f, delta=0.0, p=p),
-        broadcast=spec.broadcast, transport=spec.transport,
-        seed=spec.seed, max_rounds=spec.max_rounds,
-        probes=_spec_probes(spec),
-    )
-    if spec.check_delta is not None:
-        delta = spec.check_delta
-    else:
-        # δ* is a strict minimum: the decision sits exactly at distance δ*
-        # from some subset hull, so the checker needs solver-tolerance
-        # headroom or re-measured distances tip it over by ~1e-7.
-        achieved = outcome.delta_used or 0.0
-        delta = achieved * (1.0 + 1e-6) + 1e-9
-    check_spec = DeltaPExactBVC(d, spec.f, delta=delta, p=p)
-    outcome.report = check_spec.check(
-        honest, outcome.decisions, terminated=outcome.result.completed
-    )
-    return outcome
+    return build
 
 
-def _handle_krelaxed(spec: RunSpec) -> ConsensusOutcome:
-    inputs = spec.resolved_inputs()
-    d = inputs.shape[1]
-    k = spec.k
-
-    def make(
-        n: int, f_: int, pid: int, v: np.ndarray,
-        broadcast_: str, scheme: Optional[SignatureScheme],
-    ) -> SyncProcess:
-        return KRelaxedProcess(
-            n, f_, pid, v, k=k, broadcast=broadcast_, scheme=scheme
-        )
-
-    return _run_sync(make, inputs, spec.f, spec.adversary,
-                     KRelaxedExactBVC(d, spec.f, k=k),
-                     broadcast=spec.broadcast, transport=spec.transport,
-                     seed=spec.seed, max_rounds=spec.max_rounds,
-                     probes=_spec_probes(spec))
+def _iterative_rounds(spec: RunSpec) -> int:
+    return spec.rounds if spec.rounds is not None else 30
 
 
-def _handle_scalar(spec: RunSpec) -> ConsensusOutcome:
-    def make(
-        n: int, f_: int, pid: int, v: np.ndarray,
-        broadcast_: str, scheme: Optional[SignatureScheme],
-    ) -> SyncProcess:
-        return ScalarConsensusProcess(
-            n, f_, pid, v, broadcast=broadcast_, scheme=scheme
-        )
-
-    return _run_sync(make, spec.resolved_inputs(), spec.f, spec.adversary,
-                     ExactBVC(1, spec.f), broadcast=spec.broadcast,
-                     transport=spec.transport, seed=spec.seed,
-                     max_rounds=spec.max_rounds, probes=_spec_probes(spec))
-
-
-def _handle_iterative(spec: RunSpec) -> ConsensusOutcome:
+def _build_iterative(
+    spec: RunSpec, inputs: np.ndarray, adversary: Adversary,
+    rng: np.random.Generator,
+) -> Build:
     from ..system.topology import Topology, complete_topology
     from .iterative import IterativeBVCProcess
 
-    inputs, adversary, honest = _prep(spec.resolved_inputs(), spec.adversary)
-    n, d = inputs.shape
-    rounds = spec.rounds if spec.rounds is not None else 30
+    n = inputs.shape[0]
+    rounds = _iterative_rounds(spec)
     topo: Topology = (
         spec.topology if spec.topology is not None else complete_topology(n)
     )
@@ -274,32 +170,14 @@ def _handle_iterative(spec: RunSpec) -> ConsensusOutcome:
         )
         for pid in range(n)
     ]
-    backend = get_transport(spec.transport)
-    result = backend.run_sync(
-        procs, spec.f, adversary=adversary,
-        rng=np.random.default_rng(spec.seed),
-        max_rounds=rounds + 2,
-        topology=topo,
-        probes=_spec_probes(spec),
-        seed=spec.seed,
-    )
-    decisions = {
-        pid: np.asarray(v, dtype=float)
-        for pid, v in result.correct_decisions.items()
-    }
-    check_spec = ApproximateBVC(d, spec.f, epsilon=spec.epsilon)
-    # `rounds` LP steps each carry ~1e-8 feasibility slack; give the
-    # membership check matching headroom.
-    report = check_spec.check(
-        honest, decisions, terminated=result.completed,
-        tol=max(1e-7, 2e-8 * rounds),
-    )
-    return ConsensusOutcome(decisions, report, result, honest)
+    return procs, {"max_rounds": rounds + 2, "topology": topo}
 
 
-def _handle_averaging(spec: RunSpec) -> ConsensusOutcome:
-    inputs, adversary, honest = _prep(spec.resolved_inputs(), spec.adversary)
-    n, d = inputs.shape
+def _build_averaging(
+    spec: RunSpec, inputs: np.ndarray, adversary: Adversary,
+    rng: np.random.Generator,
+) -> Build:
+    n = inputs.shape[0]
     rounds = spec.rounds
     if rounds is None:
         spread = float(np.max(inputs.max(axis=0) - inputs.min(axis=0)))
@@ -315,207 +193,116 @@ def _handle_averaging(spec: RunSpec) -> ConsensusOutcome:
         )
         for pid in range(n)
     ]
+    return procs, {"policy": spec.policy, "max_steps": spec.max_steps}
+
+
+def _exact_problem(
+    spec: RunSpec, d: int, delta_used: Optional[float]
+) -> tuple[ProblemSpec, float]:
+    return ExactBVC(d, spec.f), MEMBERSHIP_TOL
+
+
+def _algo_problem(
+    spec: RunSpec, d: int, delta_used: Optional[float]
+) -> tuple[ProblemSpec, float]:
+    if spec.check_delta is not None:
+        delta = spec.check_delta
+    else:
+        delta = check_headroom(delta_used or 0.0)
+    return DeltaPExactBVC(d, spec.f, delta=delta, p=spec.p), MEMBERSHIP_TOL
+
+
+def _krelaxed_problem(
+    spec: RunSpec, d: int, delta_used: Optional[float]
+) -> tuple[ProblemSpec, float]:
+    return KRelaxedExactBVC(d, spec.f, k=spec.k), MEMBERSHIP_TOL
+
+
+def _iterative_problem(
+    spec: RunSpec, d: int, delta_used: Optional[float]
+) -> tuple[ProblemSpec, float]:
+    # `rounds` LP steps each carry ~1e-8 feasibility slack; give the
+    # membership check matching headroom.
+    tol = max(1e-7, 2e-8 * _iterative_rounds(spec))
+    return ApproximateBVC(d, spec.f, epsilon=spec.epsilon), tol
+
+
+def _averaging_problem(
+    spec: RunSpec, d: int, delta_used: Optional[float]
+) -> tuple[ProblemSpec, float]:
+    delta = check_headroom(delta_used) if delta_used is not None else spec.delta
+    problem = DeltaPApproximateBVC(
+        d, spec.f, delta=delta, p=spec.p, epsilon=spec.epsilon
+    )
+    return problem, MEMBERSHIP_TOL
+
+
+#: algorithm name -> (process builder, problem spec + tolerance for a run)
+_ALGORITHMS: dict[str, tuple[Builder, ProblemFor]] = {
+    "exact": (_broadcast_all(ExactBVCProcess), _exact_problem),
+    "algo": (_broadcast_all(AlgoProcess, "p"), _algo_problem),
+    "krelaxed": (_broadcast_all(KRelaxedProcess, "k"), _krelaxed_problem),
+    "scalar": (_broadcast_all(ScalarConsensusProcess), _exact_problem),
+    "iterative": (_build_iterative, _iterative_problem),
+    "averaging": (_build_averaging, _averaging_problem),
+}
+
+assert set(_ALGORITHMS) == set(ALGORITHMS)
+
+
+def _execute(spec: RunSpec) -> ConsensusOutcome:
+    build, problem_for = _ALGORITHMS[spec.algorithm]
+    inputs = spec.resolved_inputs()
+    n, d = inputs.shape
+    adversary = spec.adversary or Adversary.none()
+    honest = np.array(
+        [inputs[p] for p in range(n) if not adversary.is_faulty(p)]
+    )
+    probes = _spec_probes(spec)
+    rng = np.random.default_rng(spec.seed)
+    procs, schedule = build(spec, inputs, adversary, rng)
     backend = get_transport(spec.transport)
-    result = backend.run_async(
-        procs, spec.f, adversary=adversary,
-        policy=spec.policy, rng=np.random.default_rng(spec.seed),
-        max_steps=spec.max_steps,
-        probes=_spec_probes(spec),
-        seed=spec.seed,
+    asynchronous = isinstance(procs[0], AsyncProcess)
+    execute: Callable[..., RunResult] = (
+        backend.run_async if asynchronous else backend.run_sync
+    )
+    result = execute(
+        procs, spec.f, adversary=adversary, rng=rng, probes=probes,
+        seed=spec.seed, **schedule,
     )
     decisions = {
         pid: np.asarray(v, dtype=float)
         for pid, v in result.correct_decisions.items()
     }
-    deltas = [
-        proc.delta_used
+    used = [
+        getattr(proc, "delta_used", None)
         for pid, proc in enumerate(procs)
         if pid not in adversary.faulty
-        and getattr(proc, "delta_used", None) is not None
     ]
-    delta_used = max(deltas) if deltas else None
-    # Like "algo": the selected points sit exactly at distance δ from
-    # some subset hull, so the membership check needs solver-tolerance
-    # headroom beyond the achieved δ.
-    check_delta = (
-        delta_used * (1.0 + 1e-6) + 1e-9 if delta_used is not None else spec.delta
+    deltas = [delta for delta in used if delta is not None]
+    # Synchronous processes all derive δ from the same agreed vectors,
+    # so the first is taken; asynchronous ones each fold a running max.
+    delta_used = (max(deltas) if asynchronous else deltas[0]) if deltas else None
+    problem, tol = problem_for(spec, d, delta_used)
+    report = problem.check(
+        honest, decisions, terminated=result.completed, tol=tol
     )
-    check_spec = DeltaPApproximateBVC(
-        d, spec.f, delta=check_delta, p=spec.p, epsilon=spec.epsilon
+    return ConsensusOutcome(
+        decisions, report, result, honest, problem, tol, delta_used
     )
-    report = check_spec.check(honest, decisions, terminated=result.completed)
-    return ConsensusOutcome(decisions, report, result, honest, delta_used)
-
-
-_HANDLERS: dict[str, Callable[[RunSpec], ConsensusOutcome]] = {
-    "exact": _handle_exact,
-    "algo": _handle_algo,
-    "krelaxed": _handle_krelaxed,
-    "scalar": _handle_scalar,
-    "iterative": _handle_iterative,
-    "averaging": _handle_averaging,
-}
-
-assert set(_HANDLERS) == set(ALGORITHMS)
 
 
 def run(spec: RunSpec) -> ConsensusOutcome:
     """Execute one :class:`~repro.core.runspec.RunSpec` end to end.
 
-    Dispatches on ``spec.algorithm``, builds the processes and scheduler,
-    runs to completion, and checks the decisions against the matching
-    problem spec.  When ``spec.metrics`` is given it is installed as the
+    Builds the processes for ``spec.algorithm``, runs them to completion,
+    and checks the decisions once against the algorithm's problem spec.
+    When ``spec.metrics`` is given it is installed as the
     ambient :class:`~repro.obs.metrics.MetricsRegistry` for the run.
     """
-    handler = _HANDLERS[spec.algorithm]
     if spec.metrics is not None:
         with use_registry(spec.metrics):
             with perf_phase("core.run"):
-                return handler(spec)
+                return _execute(spec)
     with perf_phase("core.run"):
-        return handler(spec)
-
-
-# ---------------------------------------------------------------------------
-# legacy entry points — thin forwarding shims over `run(RunSpec(...))`
-# ---------------------------------------------------------------------------
-
-
-def run_exact_bvc(
-    inputs: np.ndarray,
-    f: int,
-    adversary: Optional[Adversary] = None,
-    *,
-    transport: str = "eig",
-    seed: int = 0,
-) -> ConsensusOutcome:
-    """Synchronous exact BVC (Vaidya–Garg baseline; needs
-    ``n >= max(3f+1, (d+1)f+1)``).
-
-    .. deprecated:: Forwarding shim — prefer
-       ``run(RunSpec(algorithm="exact", ...))``.
-    """
-    return run(RunSpec(algorithm="exact", inputs=inputs, f=f,
-                       adversary=adversary, broadcast=transport, seed=seed))
-
-
-def run_algo(
-    inputs: np.ndarray,
-    f: int,
-    adversary: Optional[Adversary] = None,
-    *,
-    p: PNorm = 2,
-    transport: str = "eig",
-    seed: int = 0,
-    check_delta: Optional[float] = None,
-) -> ConsensusOutcome:
-    """The paper's ALGO: synchronous (δ,p)-relaxed exact BVC with the
-    smallest input-dependent δ (needs only ``n >= 3f+1``).
-
-    ``check_delta`` sets the δ used by the validity checker; by default
-    the checker uses the δ* the processes actually achieved, so the
-    report verifies the algorithm's own claim.
-
-    .. deprecated:: Forwarding shim — prefer
-       ``run(RunSpec(algorithm="algo", ...))``.
-    """
-    return run(RunSpec(algorithm="algo", inputs=inputs, f=f,
-                       adversary=adversary, p=p, broadcast=transport,
-                       seed=seed, check_delta=check_delta))
-
-
-def run_k_relaxed(
-    inputs: np.ndarray,
-    f: int,
-    k: int,
-    adversary: Optional[Adversary] = None,
-    *,
-    transport: str = "eig",
-    seed: int = 0,
-) -> ConsensusOutcome:
-    """Synchronous k-relaxed exact BVC (k = 1: ``n >= 3f+1``;
-    k >= 2: ``n >= (d+1)f+1``, Theorem 3).
-
-    .. deprecated:: Forwarding shim — prefer
-       ``run(RunSpec(algorithm="krelaxed", k=k, ...))``.
-    """
-    return run(RunSpec(algorithm="krelaxed", inputs=inputs, f=f, k=k,
-                       adversary=adversary, broadcast=transport, seed=seed))
-
-
-def run_scalar(
-    inputs: np.ndarray,
-    f: int,
-    adversary: Optional[Adversary] = None,
-    *,
-    transport: str = "eig",
-    seed: int = 0,
-) -> ConsensusOutcome:
-    """Synchronous exact scalar consensus (d = 1; ``n >= 3f+1``).
-
-    .. deprecated:: Forwarding shim — prefer
-       ``run(RunSpec(algorithm="scalar", ...))``.
-    """
-    return run(RunSpec(algorithm="scalar", inputs=inputs, f=f,
-                       adversary=adversary, broadcast=transport, seed=seed))
-
-
-def run_iterative(
-    inputs: np.ndarray,
-    f: int,
-    adversary: Optional[Adversary] = None,
-    *,
-    topology: Optional["Topology"] = None,
-    num_rounds: int = 30,
-    alpha: float = 0.5,
-    epsilon: float = 1e-2,
-    seed: int = 0,
-) -> ConsensusOutcome:
-    """Iterative approximate BVC on a (possibly incomplete) topology.
-
-    The companion system from the paper's related work (Vaidya 2014);
-    see :mod:`repro.core.iterative`.  ``topology`` defaults to the
-    complete graph.  The outcome is checked as approximate BVC:
-    ε-agreement plus validity in the hull of the honest *inputs*.
-
-    .. deprecated:: Forwarding shim — prefer
-       ``run(RunSpec(algorithm="iterative", rounds=..., ...))``
-       (``num_rounds`` is spelled ``rounds`` there).
-    """
-    return run(RunSpec(algorithm="iterative", inputs=inputs, f=f,
-                       adversary=adversary, topology=topology,
-                       rounds=num_rounds, alpha=alpha, epsilon=epsilon,
-                       seed=seed))
-
-
-def run_averaging(
-    inputs: np.ndarray,
-    f: int,
-    adversary: Optional[Adversary] = None,
-    *,
-    epsilon: float = 1e-2,
-    num_rounds: Optional[int] = None,
-    mode: str = "optimal",
-    delta: float = 0.0,
-    p: PNorm = 2,
-    policy: Optional[DeliveryPolicy] = None,
-    seed: int = 0,
-    max_steps: int = 2_000_000,
-) -> ConsensusOutcome:
-    """Asynchronous Relaxed Verified Averaging (§10).
-
-    ``mode="optimal"`` is the paper's algorithm (smallest feasible δ at
-    round 1; works from ``n >= 3f+1``); ``mode="zero"`` is the classic
-    verified-averaging baseline needing ``n >= (d+2)f+1``.  ``num_rounds``
-    defaults to the contraction-bound estimate for ``epsilon`` computed
-    from the *global* input spread (a simulation convenience — the full
-    dynamic termination rule lives in the paper's reference [15]).
-
-    .. deprecated:: Forwarding shim — prefer
-       ``run(RunSpec(algorithm="averaging", rounds=..., ...))``
-       (``num_rounds`` is spelled ``rounds`` there).
-    """
-    return run(RunSpec(algorithm="averaging", inputs=inputs, f=f,
-                       adversary=adversary, epsilon=epsilon,
-                       rounds=num_rounds, mode=mode, delta=delta, p=p,
-                       policy=policy, seed=seed, max_steps=max_steps))
+        return _execute(spec)

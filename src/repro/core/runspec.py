@@ -3,16 +3,15 @@
 A :class:`RunSpec` is one frozen value describing one consensus
 execution: which algorithm, the system shape ``(n, d, f)``, the inputs
 (given explicitly or derived from ``seed``), the adversary, and every
-knob the six historical ``run_*`` entry points grew independently.
-``repro.core.runner.run(spec)`` executes it.
+algorithm knob.  ``repro.core.runner.run(spec)`` executes it; it is the
+only way to run and check an execution.
 
 Why a dataclass instead of six functions: the experiment engine
 (:mod:`repro.exec`), the DST explorer, the benchmarks, and the CLI all
 need to *build, store, and compare* run descriptions before executing
-them — a frozen value does that; a call frame does not.  The legacy
-``run_*`` functions remain as thin forwarding shims.
+them — a frozen value does that; a call frame does not.
 
-Canonical knob vocabulary (see ``docs/api.md`` for the legacy mapping):
+Canonical knob vocabulary (see ``docs/api.md``):
 
 ============  =========================================================
 ``p``         norm order of the relaxation (legacy: also ``norm``)

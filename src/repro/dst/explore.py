@@ -1,8 +1,7 @@
 """Seed-driven scenario explorer: sample, run, check, record.
 
-The explorer is the deterministic-simulation successor of
-``repro.analysis.fuzz``: every trial derives one :class:`Scenario` from
-the master seed, runs it through the full protocol stack, evaluates the
+Every trial derives one :class:`Scenario` from the master seed, runs it
+through the full protocol stack (``repro.core.run``), evaluates the
 **checker registry** (agreement / validity / termination by default —
 pluggable via :func:`register_checker`), and — when an invariant breaks —
 records a :class:`Violation` carrying a compact replay token and a
@@ -15,7 +14,11 @@ Bug *injections* (:data:`INJECTIONS`) are deliberately broken
 post-processing steps — they perturb the decision map after the run, the
 way an implementation bug in a decision rule would — used to exercise and
 demo the fuzz → shrink → replay loop against a stack whose real
-algorithms (correctly) refuse to produce counterexamples.
+algorithms (correctly) refuse to produce counterexamples.  The checkers
+judge the perturbed map with the same :class:`~repro.core.problems.ProblemSpec`
+and tolerance the run itself was checked with
+(:meth:`~repro.core.runner.ConsensusOutcome.recheck`).  The live fleet
+probes (``repro fleet probes --inject``) reuse the same table.
 """
 
 from __future__ import annotations
@@ -23,12 +26,11 @@ from __future__ import annotations
 import math
 import multiprocessing
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.problems import agreement_diameter
 from ..core.runner import ConsensusOutcome, run
 from ..core.runspec import RunSpec
 from ..obs.probes import Probe, ProbeReport, build_probes
@@ -48,6 +50,7 @@ __all__ = [
     "INJECTIONS",
     "ExplorationResult",
     "Violation",
+    "apply_injection",
     "explore",
     "register_checker",
     "run_scenario",
@@ -57,8 +60,8 @@ __all__ = [
 #: The four consensus algorithms under test.
 ALGORITHM_NAMES = ("exact", "algo", "k1", "averaging")
 
-#: ε-agreement target used for the asynchronous algorithm in exploration
-#: (matches the legacy fuzz harness's run_averaging epsilon).
+#: ε-agreement target of the asynchronous algorithm in exploration: loose
+#: enough that the default round estimate converges in a few rounds.
 AVERAGING_EPSILON = 5e-2
 
 
@@ -109,7 +112,8 @@ def _scenario_probes(scenario: Scenario, names: Sequence[str]) -> list[Probe]:
 #: A checker inspects one finished run and returns a human-readable
 #: violation detail, or None when its invariant holds.  ``decisions`` is
 #: the (possibly injection-perturbed) correct-process decision map the
-#: invariants are evaluated on.
+#: invariants are evaluated on; the outcome handed to a checker carries
+#: that map and its re-checked ``report``.
 CheckerFn = Callable[
     [Scenario, ConsensusOutcome, Mapping[int, np.ndarray]], Optional[str]
 ]
@@ -133,13 +137,12 @@ def _check_agreement(
     outcome: ConsensusOutcome,
     decisions: Mapping[int, np.ndarray],
 ) -> Optional[str]:
-    tol = AVERAGING_EPSILON + 1e-9 if scenario.algorithm == "averaging" else 1e-9
-    diam = agreement_diameter(decisions)
-    if diam > tol:
-        return f"decision diameter {diam:.6g} exceeds {tol:.6g}"
-    if not outcome.report.agreement_ok:
-        return f"checker reported diameter {outcome.report.agreement_diameter:.6g}"
-    return None
+    if outcome.report.agreement_ok:
+        return None
+    return (
+        f"decision diameter {outcome.report.agreement_diameter:.6g} breaks "
+        f"{type(outcome.problem).__name__} agreement"
+    )
 
 
 @register_checker("validity")
@@ -169,13 +172,13 @@ def _check_termination(
 # bug injections (demo/test instrumentation)
 # ---------------------------------------------------------------------------
 
-#: name -> fn(decisions, scenario) -> perturbed decisions (a copy).
-INJECTIONS: dict[
-    str, Callable[[dict[int, np.ndarray], Scenario], dict[int, np.ndarray]]
-] = {}
+#: fn(decisions, input_scale, d) -> perturbed decisions (a copy).
+InjectionFn = Callable[
+    [Mapping[int, np.ndarray], float, int], dict[int, np.ndarray]
+]
 
-
-InjectionFn = Callable[[dict[int, np.ndarray], Scenario], dict[int, np.ndarray]]
+#: name -> injection; shared by the explorer and the live fleet probes.
+INJECTIONS: dict[str, InjectionFn] = {}
 
 
 def _register_injection(name: str) -> Callable[[InjectionFn], InjectionFn]:
@@ -188,29 +191,40 @@ def _register_injection(name: str) -> Callable[[InjectionFn], InjectionFn]:
 
 @_register_injection("split-brain")
 def _inject_split_brain(
-    decisions: dict[int, np.ndarray], scenario: Scenario
+    decisions: Mapping[int, np.ndarray], input_scale: float, d: int
 ) -> dict[int, np.ndarray]:
     """One process 'decides' an offset value — a broken decision rule."""
     out = {pid: np.array(v, dtype=float, copy=True) for pid, v in decisions.items()}
     if out:
         pid = min(out)
-        out[pid] = out[pid] + 10.0 * scenario.input_scale
+        out[pid] = out[pid] + 10.0 * input_scale
     return out
 
 
 @_register_injection("stale-echo")
 def _inject_stale_echo(
-    decisions: dict[int, np.ndarray], scenario: Scenario
+    decisions: Mapping[int, np.ndarray], input_scale: float, d: int
 ) -> dict[int, np.ndarray]:
     """Two processes swap halves of their decisions — a buffer-reuse bug."""
     out = {pid: np.array(v, dtype=float, copy=True) for pid, v in decisions.items()}
     pids = sorted(out)
     if len(pids) >= 2:
         a, b = pids[0], pids[1]
-        half = max(1, scenario.d // 2)
+        half = max(1, d // 2)
         out[a][:half], out[b][:half] = out[b][:half].copy(), out[a][:half].copy()
-        out[a][:half] += scenario.input_scale
+        out[a][:half] += input_scale
     return out
+
+
+def apply_injection(
+    name: str, decisions: Mapping[int, np.ndarray], input_scale: float, d: int
+) -> dict[int, np.ndarray]:
+    """Perturbed copy of ``decisions`` under the injection ``name``."""
+    if name not in INJECTIONS:
+        raise ValueError(
+            f"unknown injection {name!r}; choices {sorted(INJECTIONS)}"
+        )
+    return INJECTIONS[name](decisions, input_scale, d)
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +315,15 @@ def run_scenario(
             scenario, [p for p in probes if isinstance(p, str)]
         )
     outcome = _run_for(scenario, probe_objs)
-    decisions: Mapping[int, np.ndarray] = outcome.decisions
+    judged = outcome
     if scenario.inject is not None:
-        if scenario.inject not in INJECTIONS:
-            raise ValueError(
-                f"unknown injection {scenario.inject!r}; choices {sorted(INJECTIONS)}"
-            )
-        decisions = INJECTIONS[scenario.inject](dict(decisions), scenario)
+        decisions = apply_injection(
+            scenario.inject, outcome.decisions, scenario.input_scale,
+            scenario.d,
+        )
+        judged = replace(
+            outcome, decisions=decisions, report=outcome.recheck(decisions)
+        )
         for probe in probe_objs:
             probe.check_decisions(
                 decisions, outcome.honest_inputs,
@@ -316,7 +332,7 @@ def run_scenario(
     active = dict(checkers) if checkers is not None else CHECKERS
     violations = {}
     for name, fn in active.items():
-        detail = fn(scenario, outcome, decisions)
+        detail = fn(scenario, judged, judged.decisions)
         if detail is not None:
             violations[name] = detail
     return ExplorationResult(

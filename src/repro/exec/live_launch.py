@@ -168,8 +168,9 @@ def build_topology(
     }
     if doc["rounds"] is None:
         if algorithm == "averaging":
-            # Same estimate _handle_averaging uses, resolved once here so
-            # every node terminates after the identical round count.
+            # Same estimate the runner's averaging builder uses, resolved
+            # once here so every node terminates after the identical
+            # round count.
             from ..core.averaging import rounds_for_epsilon
 
             inputs = _derived_inputs(doc)

@@ -320,33 +320,6 @@ def _max_delta_used(trails: Sequence[NodeTrail]) -> float:
     return delta
 
 
-def _inject(
-    decisions: dict[int, np.ndarray], name: str, input_scale: float, d: int
-) -> dict[int, np.ndarray]:
-    """Perturb logged decisions (mirrors ``repro.dst.explore.INJECTIONS``)
-    so probe sensitivity can be demonstrated on real trails."""
-    out = {pid: np.array(v, dtype=float, copy=True)
-           for pid, v in decisions.items()}
-    if name == "split-brain":
-        if out:
-            pid = min(out)
-            out[pid] = out[pid] + 10.0 * input_scale
-        return out
-    if name == "stale-echo":
-        pids = sorted(out)
-        if len(pids) >= 2:
-            a, b = pids[0], pids[1]
-            half = max(1, d // 2)
-            out[a][:half], out[b][:half] = (
-                out[b][:half].copy(), out[a][:half].copy()
-            )
-            out[a][:half] += input_scale
-        return out
-    raise ValueError(
-        f"unknown injection {name!r} (choices: split-brain, stale-echo)"
-    )
-
-
 def _check_broadcast_integrity(graph: CausalGraph, probe: Any) -> None:
     """Structural equivocation check over the merged graph.
 
@@ -397,24 +370,27 @@ def fleet_probes(
 
     Returns ``(reports, context)`` where ``context`` records what the
     probes were checked against (decisions, derived parameters, any
-    injection).  ``inject`` perturbs the logged decisions the same way
-    the DST explorer's injections do — for demonstrating that the
-    probes would catch a violating cluster, not for honest validation.
+    injection).  ``inject`` names an entry of
+    :data:`repro.dst.explore.INJECTIONS`, applied to the logged
+    decisions — for demonstrating that the probes would catch a
+    violating cluster, not for honest validation.
     """
+    from ..core.problems import check_headroom
+    from ..dst.explore import apply_injection
+
     params = _topology_params(trails)
     algorithm = str(params["algorithm"])
     decisions = _decisions(trails)
     if inject is not None:
-        decisions = _inject(
-            decisions, inject,
-            float(params["input_scale"]), int(params["d"]),
+        decisions = apply_injection(
+            inject, decisions, float(params["input_scale"]), int(params["d"])
         )
     honest = _honest_inputs(params)
 
     approximate = algorithm in ("averaging", "iterative")
     # check_decisions applies an explicit delta verbatim, so grant the
     # same solver-tolerance headroom the online probe computes itself.
-    delta = _max_delta_used(trails) * (1.0 + 1e-6) + 1e-9
+    delta = check_headroom(_max_delta_used(trails))
     probes = build_probes(
         names,
         algorithm=algorithm,

@@ -249,6 +249,8 @@ class ValidityEnvelopeProbe(Probe):
         self._last_delta = 0.0
 
     def _envelope_delta(self, view: ProbeView) -> float:
+        from ..core.problems import check_headroom
+
         if self.delta is not None:
             delta = self.delta
         else:
@@ -259,7 +261,7 @@ class ValidityEnvelopeProbe(Probe):
                     delta = max(delta, float(used))
         # Same headroom the post-hoc checker applies: the selected point
         # sits exactly at distance δ* from some subset hull.
-        self._last_delta = delta * (1.0 + 1e-6) + 1e-9
+        self._last_delta = check_headroom(delta)
         return self._last_delta
 
     def _excess(self, value: np.ndarray, honest: np.ndarray, delta: float) -> float:

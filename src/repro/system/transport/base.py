@@ -60,9 +60,9 @@ class Transport(ABC):
     Implementations receive fully constructed process objects (the
     protocol layer owns process construction — including signature
     schemes and per-algorithm parameters) and drive them to decisions.
-    ``rng`` is the run's master generator, already positioned exactly as
-    the legacy entry points left it, so the deterministic backend stays
-    bit-identical; non-deterministic backends derive per-node seeds from
+    ``rng`` is the run's master generator, already positioned by the
+    runner (after any signature-scheme key draw), so the deterministic
+    backend stays bit-identical; non-deterministic backends derive per-node seeds from
     ``seed`` instead.
     """
 

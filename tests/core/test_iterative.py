@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.iterative import IterativeBVCProcess, iterative_update
-from repro.core.runner import run_iterative
+from repro.core.runner import RunSpec, run
 from repro.system import Adversary, EquivocateStrategy, MutateStrategy, SilentStrategy
 from repro.system.topology import (
     complete_topology,
@@ -67,14 +67,16 @@ class TestIterativeProcess:
 
     def test_history_recorded(self, rng):
         inputs = rng.normal(size=(5, 2))
-        out = run_iterative(inputs, f=1, num_rounds=5, epsilon=10.0)
+        out = run(RunSpec(algorithm="iterative", inputs=inputs, f=1, rounds=5,
+                          epsilon=10.0))
         assert out.ok
 
 
 class TestIterativeEndToEnd:
     def test_complete_graph_convergence(self, rng):
         inputs = rng.normal(size=(5, 2))
-        out = run_iterative(inputs, f=1, num_rounds=40, epsilon=1e-3)
+        out = run(RunSpec(algorithm="iterative", inputs=inputs, f=1, rounds=40,
+                          epsilon=1e-3))
         assert out.ok
         assert out.report.agreement_diameter <= 1e-3
 
@@ -83,25 +85,25 @@ class TestIterativeEndToEnd:
             return tuple(v + dst * 3.0 for v in payload)
 
         inputs = rng.normal(size=(5, 2))
-        out = run_iterative(
-            inputs, f=1, num_rounds=60, epsilon=1e-2,
-            adversary=Adversary(faulty=[4], strategy=EquivocateStrategy(equiv)),
-        )
+        out = run(RunSpec(algorithm="iterative", inputs=inputs, f=1, rounds=60,
+                          epsilon=1e-2,
+                          adversary=Adversary(
+                              faulty=[4], strategy=EquivocateStrategy(equiv))))
         assert out.ok, out.report
 
     def test_silent_fault_on_wheel(self, rng):
         topo = wheel_of_cliques_topology(3, 4)
         inputs = rng.normal(size=(12, 2))
-        out = run_iterative(
-            inputs, f=1, topology=topo, num_rounds=60, epsilon=1e-2,
-            adversary=Adversary(faulty=[5], strategy=SilentStrategy()),
-        )
+        out = run(RunSpec(algorithm="iterative", inputs=inputs, f=1,
+                          topology=topo, rounds=60, epsilon=1e-2,
+                          adversary=Adversary(faulty=[5], strategy=SilentStrategy())))
         assert out.ok
 
     def test_sparse_regular_graph_failure_free(self, rng):
         topo = random_regular_topology(9, 6, seed=2)
         inputs = rng.normal(size=(9, 3))
-        out = run_iterative(inputs, f=1, topology=topo, num_rounds=60, epsilon=1e-2)
+        out = run(RunSpec(algorithm="iterative", inputs=inputs, f=1,
+                          topology=topo, rounds=60, epsilon=1e-2))
         assert out.ok
 
     def test_validity_always_holds_even_when_agreement_does_not(self, rng):
@@ -110,7 +112,8 @@ class TestIterativeEndToEnd:
         not — safety over liveness."""
         topo = ring_lattice_topology(6, 1)
         inputs = rng.normal(size=(6, 2))
-        out = run_iterative(inputs, f=1, topology=topo, num_rounds=15, epsilon=1e-2)
+        out = run(RunSpec(algorithm="iterative", inputs=inputs, f=1,
+                          topology=topo, rounds=15, epsilon=1e-2))
         assert out.report.validity_ok
         assert not topo.supports_iterative_bvc(2, 1)
 
@@ -119,17 +122,19 @@ class TestIterativeEndToEnd:
             return tuple(v * 50.0 + 7.0 for v in payload)
 
         inputs = rng.normal(size=(5, 2))
-        out = run_iterative(
-            inputs, f=1, num_rounds=50, epsilon=1e-2,
-            adversary=Adversary(faulty=[0], strategy=MutateStrategy(lie)),
-        )
+        out = run(RunSpec(algorithm="iterative", inputs=inputs, f=1, rounds=50,
+                          epsilon=1e-2,
+                          adversary=Adversary(
+                              faulty=[0], strategy=MutateStrategy(lie))))
         assert out.report.validity_ok
         assert out.report.agreement_ok
 
     def test_alpha_one_faster(self, rng):
         inputs = rng.normal(size=(5, 2))
-        slow = run_iterative(inputs, f=1, num_rounds=8, alpha=0.3, epsilon=1e9)
-        fast = run_iterative(inputs, f=1, num_rounds=8, alpha=1.0, epsilon=1e9)
+        slow = run(RunSpec(algorithm="iterative", inputs=inputs, f=1, rounds=8,
+                           alpha=0.3, epsilon=1e9))
+        fast = run(RunSpec(algorithm="iterative", inputs=inputs, f=1, rounds=8,
+                           alpha=1.0, epsilon=1e9))
         assert (
             fast.report.agreement_diameter
             <= slow.report.agreement_diameter + 1e-12

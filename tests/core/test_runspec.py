@@ -1,44 +1,13 @@
-"""RunSpec: validation, input derivation, and shim equivalence.
-
-The six legacy ``run_*`` entry points are now thin forwarders onto
-``run(RunSpec(...))``; the equivalence tests here pin that forwarding —
-same decisions (to the bit), same verdicts, same δ — for every
-algorithm.
-"""
+"""RunSpec: validation, input derivation, and metrics installation."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    ALGORITHMS,
-    RunSpec,
-    run,
-    run_algo,
-    run_averaging,
-    run_exact_bvc,
-    run_iterative,
-    run_k_relaxed,
-    run_scalar,
-)
+from repro.core import ALGORITHMS, RunSpec, run
 from repro.obs.metrics import MetricsRegistry
-from repro.system.adversary import Adversary, SilentStrategy
-
-
-def outcomes_equal(a, b) -> bool:
-    """Bit-level equality of two ConsensusOutcomes."""
-    if sorted(a.decisions) != sorted(b.decisions):
-        return False
-    for pid in a.decisions:
-        if not np.array_equal(a.decisions[pid], b.decisions[pid]):
-            return False
-    return (
-        a.report == b.report
-        and a.delta_used == b.delta_used
-        and np.array_equal(a.honest_inputs, b.honest_inputs)
-        and a.result.rounds == b.result.rounds
-    )
+from repro.system.adversary import Adversary
 
 
 class TestRunSpecValidation:
@@ -131,71 +100,6 @@ class TestRunSpecValidation:
         assert desc["adversary"] == "Adversary"
         assert desc["metrics"] == "MetricsRegistry"
         assert desc["algorithm"] == "algo"
-
-
-class TestShimEquivalence:
-    """Each legacy entry point == run(RunSpec(...)), bit for bit."""
-
-    def test_exact(self, rng):
-        inputs = rng.normal(size=(5, 2))
-        adv = Adversary(faulty=[4])
-        legacy = run_exact_bvc(inputs, f=1, adversary=adv, seed=3)
-        spec = run(RunSpec(algorithm="exact", inputs=inputs, f=1,
-                           adversary=adv, seed=3))
-        assert outcomes_equal(legacy, spec)
-
-    def test_algo(self, rng):
-        inputs = rng.normal(size=(4, 3))
-        adv = Adversary(faulty=[3], strategy=SilentStrategy())
-        legacy = run_algo(inputs, f=1, adversary=adv, seed=1)
-        spec = run(RunSpec(algorithm="algo", inputs=inputs, f=1,
-                           adversary=adv, seed=1))
-        assert outcomes_equal(legacy, spec)
-
-    def test_k_relaxed(self, rng):
-        inputs = rng.normal(size=(4, 4))
-        legacy = run_k_relaxed(inputs, f=1, k=1, seed=2)
-        spec = run(RunSpec(algorithm="krelaxed", inputs=inputs, f=1, k=1,
-                           seed=2))
-        assert outcomes_equal(legacy, spec)
-
-    def test_scalar(self, rng):
-        inputs = rng.normal(size=(4, 1))
-        legacy = run_scalar(inputs, f=1, seed=4)
-        spec = run(RunSpec(algorithm="scalar", inputs=inputs, f=1, seed=4))
-        assert outcomes_equal(legacy, spec)
-
-    def test_iterative(self, rng):
-        inputs = rng.normal(size=(6, 2))
-        legacy = run_iterative(inputs, f=1, num_rounds=15, epsilon=1e-2,
-                               seed=5)
-        spec = run(RunSpec(algorithm="iterative", inputs=inputs, f=1,
-                           rounds=15, epsilon=1e-2, seed=5))
-        assert outcomes_equal(legacy, spec)
-
-    def test_averaging(self, rng):
-        inputs = rng.normal(size=(4, 2))
-        adv = Adversary(faulty=[3], strategy=SilentStrategy())
-        legacy = run_averaging(inputs, f=1, adversary=adv, epsilon=5e-2,
-                               seed=6)
-        spec = run(RunSpec(algorithm="averaging", inputs=inputs, f=1,
-                           adversary=adv, epsilon=5e-2, seed=6))
-        assert outcomes_equal(legacy, spec)
-
-    def test_shim_transport_kwarg_still_selects_broadcast(self, rng):
-        # The legacy entry points keep their ``transport=`` keyword with
-        # its historical meaning (broadcast primitive) so existing
-        # callers stay bit-identical through the knob rename.
-        inputs = rng.normal(size=(4, 2))
-        legacy = run_exact_bvc(inputs, f=1, transport="dolev-strong", seed=8)
-        spec = run(RunSpec(algorithm="exact", inputs=inputs, f=1,
-                           broadcast="dolev-strong", seed=8))
-        assert outcomes_equal(legacy, spec)
-
-    def test_shims_carry_deprecation_note(self):
-        for shim in (run_exact_bvc, run_algo, run_k_relaxed, run_scalar,
-                     run_iterative, run_averaging):
-            assert "deprecated" in (shim.__doc__ or "")
 
 
 class TestMetricsInstall:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,12 @@ from repro.dst.explore import (
     sample_scenario,
     violation_from,
 )
-from repro.dst.corpus import decode_token
-from repro.dst.scenarios import Scenario
+from repro.dst.corpus import decode_token, load_seed
+from repro.dst.scenarios import Scenario, min_system_size
+
+CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
+#: The committed injected-bug demo (algo, n=4, d=1, split-brain).
+CORPUS_SPLIT_BRAIN = load_seed(CORPUS_DIR / "demo-split-brain-shrunk.json").scenario
 
 
 def honest_scenario(algorithm="algo", **kw):
@@ -45,6 +52,19 @@ class TestRunScenario:
     def test_split_brain_injection_breaks_agreement(self):
         result = run_scenario(honest_scenario(inject="split-brain"))
         assert "agreement" in result.violations
+        assert result.invariant == "agreement"
+
+    @pytest.mark.parametrize("algorithm", ["exact", "algo", "k1", "averaging"])
+    def test_split_brain_injection_breaks_validity_too(self, algorithm):
+        # The injected decision sits 10 * input_scale outside the honest
+        # hull, so re-checking the perturbed map through the run's own
+        # ProblemSpec must flag validity as well as agreement.
+        scenario = replace(
+            CORPUS_SPLIT_BRAIN, algorithm=algorithm,
+            n=min_system_size(algorithm, CORPUS_SPLIT_BRAIN.d, 1),
+        )
+        result = run_scenario(scenario)
+        assert {"agreement", "validity"} <= set(result.violations)
         assert result.invariant == "agreement"
 
     def test_stale_echo_injection_breaks_agreement(self):
@@ -168,3 +188,24 @@ class TestExplore:
 
 def test_injection_registry_names():
     assert {"split-brain", "stale-echo"} <= set(INJECTIONS)
+
+
+class TestSoak:
+    """Invariant sweeps over sampled adversarial scenarios (sized to stay
+    test-suite friendly)."""
+
+    def test_exact_bvc_never_breaks(self):
+        violations = explore("exact", trials=25, seed=101)
+        assert not violations, "\n".join(map(str, violations))
+
+    def test_algo_never_breaks(self):
+        violations = explore("algo", trials=25, seed=202)
+        assert not violations, "\n".join(map(str, violations))
+
+    def test_k1_never_breaks(self):
+        violations = explore("k1", trials=25, seed=303)
+        assert not violations, "\n".join(map(str, violations))
+
+    def test_averaging_never_breaks(self):
+        violations = explore("averaging", trials=10, seed=404)
+        assert not violations, "\n".join(map(str, violations))

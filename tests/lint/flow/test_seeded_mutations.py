@@ -95,9 +95,9 @@ def test_non_seam_import_trips_xpt(shipped_sources):
     files = _mutate(
         shipped_sources,
         "core/runner.py",
-        "from ..system.scheduler import DeliveryPolicy, RunResult",
+        "from ..system.scheduler import RunResult",
         "from ..system.scheduler import _drain_queues  # type: ignore\n"
-        "from ..system.scheduler import DeliveryPolicy, RunResult",
+        "from ..system.scheduler import RunResult",
     )
     findings = lint_flow(files, select=["XPT003"])
     assert [f.rule for f in findings] == ["XPT003"]
