@@ -755,22 +755,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _demo_sources() -> tuple:
-    """Populate a registry + profiler with a tiny instrumented workload."""
+    """Populate a registry + record-free tracer with a tiny workload."""
     from .core import RunSpec, run
-    from .obs import MetricsRegistry, PhaseProfiler, use_profiler, use_registry
+    from .obs import MetricsRegistry, Tracer, use_registry, use_tracer
 
     registry = MetricsRegistry()
-    profiler = PhaseProfiler()
-    with use_registry(registry), use_profiler(profiler):
+    tracer = Tracer(records=False)
+    with use_registry(registry), use_tracer(tracer):
         run(RunSpec(algorithm="algo", n=6, d=2, f=1, seed=11))
         run(RunSpec(algorithm="averaging", n=6, d=2, f=1, seed=7))
-    return registry, profiler
+    return registry, tracer
 
 
 def _metrics_exposition(args: argparse.Namespace) -> "str | int":
     """Build the exposition text for metrics snapshot/serve (or exit code)."""
     from .analysis.profiling import metrics_record
-    from .obs import get_profiler, global_registry, read_jsonl
+    from .obs import get_tracer, global_registry, read_jsonl
     from .obs.prom import render_exposition
 
     if getattr(args, "from_jsonl", None):
@@ -783,10 +783,10 @@ def _metrics_exposition(args: argparse.Namespace) -> "str | int":
             return _fail(f"{args.from_jsonl!r} holds no metrics record")
         return render_exposition(snap)
     if getattr(args, "demo", False):
-        registry, profiler = _demo_sources()
-        return render_exposition(registry.snapshot(), profiler.snapshot())
+        registry, tracer = _demo_sources()
+        return render_exposition(registry.snapshot(), tracer.snapshot())
     return render_exposition(
-        global_registry().snapshot(), get_profiler().snapshot()
+        global_registry().snapshot(), get_tracer().snapshot()
     )
 
 
@@ -948,7 +948,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .analysis.profiling import render_flame, render_summary
+    from .analysis.profiling import render_phase_flame, render_summary
     from .obs import (
         MetricsRegistry,
         Tracer,
@@ -982,11 +982,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
               f"{len(tracer.events)} events -> {args.out} ({lines} lines)")
         print(render_summary(records))
         if args.flame:
-            print("\n" + render_flame(records))
+            print("\n" + render_phase_flame(tracer.snapshot()))
     return inner_code
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .dst.explore import INJECTIONS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Relaxed Byzantine Vector Consensus — reproduction toolkit",
@@ -1035,7 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject", default=None,
-                   choices=["split-brain", "stale-echo"],
+                   choices=sorted(INJECTIONS),
                    help="enable a named bug injection (demo/testing of the "
                         "fuzz->shrink->replay loop)")
     p.add_argument("--shrink", action="store_true",
@@ -1298,7 +1300,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["explain", "timeline", "json", "dot"],
                    help="explain rendering (default explain)")
     p.add_argument("--inject", default=None,
-                   choices=["split-brain", "stale-echo"],
+                   choices=sorted(INJECTIONS),
                    help="probes: perturb the logged decisions to "
                         "demonstrate probe sensitivity")
     p.add_argument("--out", default=None,
@@ -1322,7 +1324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="repro_trace.jsonl",
                    help="JSONL output path (default repro_trace.jsonl)")
     p.add_argument("--flame", action="store_true",
-                   help="also print the span tree (text flame graph)")
+                   help="also print the aggregated span-path tree")
     p.add_argument("rest", nargs=argparse.REMAINDER,
                    help="the command to run, with its own flags")
     p.set_defaults(func=_cmd_trace)
@@ -1339,7 +1341,9 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "verbose", False) and not tracer.enabled:
         # --verbose outside `trace`: echo debug events without collecting
         # a span dump.
-        installed = set_tracer(Tracer(level="debug", echo=True))
+        installed = set_tracer(
+            Tracer(level="debug", echo=True, records=False)
+        )
     elif getattr(args, "quiet", False) and tracer.enabled:
         tracer.level = "warning"
     try:

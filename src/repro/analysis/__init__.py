@@ -4,7 +4,6 @@ from .metrics import DeltaTrial, TrialSummary, measure_delta_star, summarize_tri
 from .profiling import (
     SpanStats,
     metrics_record,
-    render_flame,
     render_hot_phases,
     render_phase_flame,
     render_summary,
@@ -45,7 +44,6 @@ __all__ = [
     "WORKLOADS",
     "SpanStats",
     "metrics_record",
-    "render_flame",
     "render_hot_phases",
     "render_phase_flame",
     "render_summary",

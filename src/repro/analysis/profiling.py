@@ -5,21 +5,23 @@ Two record families render here:
 * **trace records** — the dict form produced by :func:`repro.obs.export
   .trace_to_records` / :func:`repro.obs.export.read_jsonl`, so these
   work identically on an in-memory tracer and on a JSONL file read back
-  from disk (:func:`render_summary`, :func:`render_flame`);
-* **phase snapshots** — the document produced by
-  :meth:`repro.obs.perf.PhaseProfiler.snapshot` (and embedded in
+  from disk (:func:`render_summary`);
+* **phase snapshots** — the per-path aggregates returned by
+  :meth:`repro.obs.tracer.Tracer.snapshot` (and embedded in
   ``BENCH_perf.json`` under ``"phases"``): :func:`render_hot_phases` is
   the top-N where-did-the-time-go table, :func:`render_phase_flame` the
   indented path tree.
 
 ::
 
-    from repro.obs import read_jsonl
-    from repro.analysis.profiling import render_summary, render_flame
+    from repro.obs import Tracer, read_jsonl, use_tracer
+    from repro.analysis.profiling import render_phase_flame, render_summary
 
-    records = read_jsonl("trace.jsonl")
-    print(render_summary(records))
-    print(render_flame(records))
+    print(render_summary(read_jsonl("trace.jsonl")))
+    tracer = Tracer()
+    with use_tracer(tracer):
+        ...
+    print(render_phase_flame(tracer.snapshot()))
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
-from ..obs.perf import rollup_phases
+from ..obs.tracer import rollup_phases
 from .tables import format_table
 
 __all__ = [
     "SpanStats",
     "summarize_spans",
     "render_summary",
-    "render_flame",
     "render_hot_phases",
     "render_phase_flame",
     "metrics_record",
@@ -127,55 +128,8 @@ def render_summary(records: Sequence[dict[str, Any]]) -> str:
     return "\n\n".join(lines)
 
 
-def render_flame(
-    records: Sequence[dict[str, Any]],
-    *,
-    max_depth: int = 8,
-    max_children: int = 25,
-) -> str:
-    """Indented span tree (a text 'flame graph'), durations at each node.
-
-    Children are listed in start order; long sibling lists are truncated
-    with an ellipsis row so async step floods stay readable.
-    """
-    spans = _spans(records)
-    if not spans:
-        return "(no spans recorded)"
-    children: dict[Optional[int], list[dict[str, Any]]] = defaultdict(list)
-    for span in spans:
-        children[span.get("parent")].append(span)
-    for sibs in children.values():
-        sibs.sort(key=lambda s: s["t0"])
-
-    lines: list[str] = []
-
-    def emit(span: dict[str, Any], depth: int) -> None:
-        indent = "  " * depth
-        tags = span.get("tags") or {}
-        tag_str = (
-            " {" + ", ".join(f"{k}={v}" for k, v in tags.items()) + "}"
-            if tags
-            else ""
-        )
-        lines.append(f"{indent}{span['name']}  {_duration(span):.6f}s{tag_str}")
-        if depth + 1 > max_depth:
-            return
-        kids = children.get(span["id"], [])
-        for i, kid in enumerate(kids):
-            if i >= max_children:
-                lines.append(
-                    f"{indent}  ... ({len(kids) - max_children} more children)"
-                )
-                break
-            emit(kid, depth + 1)
-
-    for root in children.get(None, []):
-        emit(root, 0)
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
-# phase-profile renderers (PhaseProfiler.snapshot / BENCH_perf documents)
+# phase-profile renderers (Tracer.snapshot / BENCH_perf documents)
 # ---------------------------------------------------------------------------
 
 
@@ -223,10 +177,9 @@ def render_hot_phases(
 
 
 def render_phase_flame(snapshot: Mapping[str, Any]) -> str:
-    """Indented phase-path tree with wall time and counts at each node.
+    """Indented span-path tree with wall time and counts at each node.
 
-    Unlike :func:`render_flame` (one line per span instance), each line
-    here is an *aggregate* over every traversal of that path, so a
+    Each line is an *aggregate* over every traversal of that path, so a
     million async steps stay one line.
     """
     phases: Mapping[str, Any] = snapshot.get("phases", {})

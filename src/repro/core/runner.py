@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence, Un
 import numpy as np
 
 from ..obs.metrics import use_registry
-from ..obs.perf import perf_phase
 from ..obs.probes import Probe, ProbeReport, build_probes
+from ..obs.tracer import trace_span
 from ..system.adversary import Adversary
 from ..system.crypto import SignatureScheme
 from ..system.process import AsyncProcess, SyncProcess
@@ -302,7 +302,7 @@ def run(spec: RunSpec) -> ConsensusOutcome:
     """
     if spec.metrics is not None:
         with use_registry(spec.metrics):
-            with perf_phase("core.run"):
+            with trace_span("core.run"):
                 return _execute(spec)
-    with perf_phase("core.run"):
+    with trace_span("core.run"):
         return _execute(spec)

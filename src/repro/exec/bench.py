@@ -2,8 +2,8 @@
 
 ROADMAP item 2 wants decisions/sec vs ``n``, ``d``, ``f`` to be "a
 tracked number, not a slogan".  This module is the tracker: it drives
-the sweep engine over a named standard grid with a
-:class:`~repro.obs.perf.PhaseProfiler` installed, and emits a versioned
+the sweep engine over a named standard grid with a record-free
+:class:`~repro.obs.tracer.Tracer` installed, and emits a versioned
 ``BENCH_perf.json`` that every later perf PR (vectorised kernels,
 multi-core) is judged against:
 
@@ -34,7 +34,7 @@ import time
 from typing import Any, Mapping, Optional
 
 from ..geometry.cache import clear_cache
-from ..obs.perf import PhaseProfiler, rollup_phases, use_profiler
+from ..obs.tracer import Tracer, rollup_phases, use_tracer
 from .grid import SweepGrid
 from .results import SweepResult
 from .engine import run_grid
@@ -167,18 +167,18 @@ def run_bench(
     """Run the benchmark and build the BENCH document.
 
     The timed pass is always serial and cold (cache cleared first) with a
-    :class:`~repro.obs.perf.PhaseProfiler` installed, so the per-phase
+    record-free :class:`~repro.obs.tracer.Tracer` installed, so the per-phase
     breakdown and the throughput numbers describe the same execution.
     ``workers > 1`` adds a second, parallel pass; its speedup is reported
     only when the environment can actually measure one (``cpu_count > 1``)
     and is flagged unmeasurable otherwise.
     """
     env = environment_block()
-    profiler = PhaseProfiler()
+    tracer = Tracer(records=False)
     clear_cache()
-    with use_profiler(profiler):
+    with use_tracer(tracer):
         result = run_grid(grid, workers=1)
-    snapshot = profiler.snapshot()
+    snapshot = tracer.snapshot()
     decisions_total = sum(len(t.decisions) for t in result.trials)
     doc: dict[str, Any] = {
         "schema": BENCH_SCHEMA,
@@ -211,7 +211,7 @@ def run_bench(
             }
             for name, row in rollup_phases(snapshot).items()
         },
-        "cache": snapshot["cache"],
+        "cache": _cache_block(result),
     }
     if workers > 1:
         clear_cache()
@@ -237,6 +237,20 @@ def run_bench(
             ) if parallel_wall else None
         doc["parallel"] = block
     return doc
+
+
+def _cache_block(result: SweepResult) -> dict[str, dict[str, int]]:
+    """Per-kernel geometry-cache lookups, summed over the trials'
+    ``geometry.cache.<kernel>.hits`` / ``.misses`` counters."""
+    block: dict[str, dict[str, int]] = {}
+    for trial in result.trials:
+        for name, value in trial.metrics.items():
+            parts = name.split(".")
+            if (len(parts) == 4 and parts[:2] == ["geometry", "cache"]
+                    and parts[3] in ("hits", "misses")):
+                entry = block.setdefault(parts[2], {"hits": 0, "misses": 0})
+                entry[parts[3]] += int(value)
+    return dict(sorted(block.items()))
 
 
 def _rate_drop(old: Optional[float], new: Optional[float]) -> Optional[float]:

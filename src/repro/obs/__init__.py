@@ -2,25 +2,19 @@
 
 Three pieces (see ``docs/observability.md`` for the guide):
 
-* :mod:`repro.obs.tracer` — span/event records with a no-op default, so
+* :mod:`repro.obs.tracer` — the timing plane: one ``trace_span`` call
+  per timed region, folded into per-path wall/CPU aggregates and
+  (optionally) kept as span records, with a no-op default so
   instrumented hot paths cost nothing until a :class:`Tracer` is
   installed (``use_tracer``/``set_tracer``).
-* :mod:`repro.obs.metrics` — counters, gauges, and exact histograms in a
-  :class:`MetricsRegistry`; every scheduler run owns one and surfaces it
-  as ``RunResult.metrics``.
+* :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
+  histograms in a :class:`MetricsRegistry`; every scheduler run owns one
+  and surfaces it as ``RunResult.metrics``.
 * :mod:`repro.obs.export` — JSONL serialisation and a validating reader
   (the human-readable renderers live in :mod:`repro.analysis.profiling`).
-
-``@timed`` is the one-liner instrumentation: it records a wall-time
-histogram sample on the ambient registry (and a span when tracing is on)
-for every call of the decorated function.
 """
 
 from __future__ import annotations
-
-import functools
-import time
-from typing import Any, Callable, TypeVar
 
 from .causal import (
     NULL_COLLECTOR,
@@ -50,16 +44,6 @@ from .metrics import (
     current_registry,
     global_registry,
     use_registry,
-)
-from .perf import (
-    NULL_PROFILER,
-    FixedBucketHistogram,
-    NullPhaseProfiler,
-    PhaseProfiler,
-    get_profiler,
-    perf_phase,
-    set_profiler,
-    use_profiler,
 )
 from .probes import (
     PROBE_NAMES,
@@ -92,18 +76,14 @@ __all__ = [
     "CausalEvent",
     "Counter",
     "EventRecord",
-    "FixedBucketHistogram",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_COLLECTOR",
-    "NULL_PROFILER",
     "NULL_TRACER",
     "NullCausalCollector",
-    "NullPhaseProfiler",
     "NullTracer",
     "PROBE_NAMES",
-    "PhaseProfiler",
     "Probe",
     "ProbeReport",
     "ProbeView",
@@ -116,48 +96,20 @@ __all__ = [
     "current_registry",
     "dump_jsonl",
     "get_causal_collector",
-    "get_profiler",
     "get_tracer",
     "global_registry",
     "header_record",
     "note_decision",
     "note_iteration",
-    "perf_phase",
     "read_jsonl",
     "set_causal_collector",
-    "set_profiler",
     "set_tracer",
-    "timed",
     "trace_event",
     "trace_span",
     "trace_to_records",
     "use_causal_collector",
-    "use_profiler",
     "use_registry",
     "use_tracer",
     "validate_records",
     "write_jsonl",
 ]
-
-F = TypeVar("F", bound=Callable[..., Any])
-
-
-def timed(name: str) -> Callable[[F], F]:
-    """Decorator: time every call into ``<name>.seconds`` on the ambient
-    registry, and open a ``<name>`` span when tracing is enabled."""
-
-    def deco(fn: F) -> F:
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            with trace_span(name):
-                t0 = time.perf_counter()
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    current_registry().observe(
-                        f"{name}.seconds", time.perf_counter() - t0
-                    )
-
-        return wrapper  # type: ignore[return-value]
-
-    return deco

@@ -53,6 +53,7 @@ import numpy as np
 
 from ..analysis.timeline import CausalGraph
 from .export import read_jsonl
+from .metrics import Histogram
 from .probes import ProbeReport, build_probes
 
 __all__ = [
@@ -429,11 +430,11 @@ def aggregate_metrics(trails: Sequence[NodeTrail]) -> dict[str, Any]:
 
     Counters sum; gauges keep the extreme envelope (``max`` of maxes,
     ``min`` of mins, last value = max across nodes — peaks, not means);
-    histograms merge ``count``/``total``/``min``/``max`` exactly and
-    approximate the quantiles by count-weighted averaging (each node's
-    own ``/metrics`` endpoint stays the exact source).
+    histograms merge by adding bucket counts, so the fleet quantiles are
+    those of one histogram fed every node's samples.
     """
     out: dict[str, Any] = {}
+    histograms: dict[str, Histogram] = {}
     for trail in trails:
         for name, record in trail.metrics.items():
             kind = record.get("type")
@@ -456,24 +457,9 @@ def aggregate_metrics(trails: Sequence[NodeTrail]) -> dict[str, Any]:
                     else max(prev["value"], value)
                 )
             elif kind == "histogram":
-                count = int(record.get("count", 0))
-                prev = out.setdefault(name, {
-                    "type": "histogram", "count": 0, "total": 0.0,
-                    "min": np.inf, "max": -np.inf,
-                    "p50": 0.0, "p90": 0.0, "p99": 0.0,
-                })
-                if not count:
-                    continue
-                merged_count = prev["count"] + count
-                for q in ("p50", "p90", "p99"):
-                    prev[q] = (
-                        prev[q] * prev["count"] + float(record[q]) * count
-                    ) / merged_count
-                prev["count"] = merged_count
-                prev["total"] += float(record["total"])
-                prev["min"] = min(prev["min"], float(record["min"]))
-                prev["max"] = max(prev["max"], float(record["max"]))
-    for record in out.values():
-        if record["type"] == "histogram" and record["count"]:
-            record["mean"] = record["total"] / record["count"]
+                histograms.setdefault(name, Histogram()).merge(
+                    Histogram.from_dict(record)
+                )
+    for name, hist in histograms.items():
+        out[name] = {"type": "histogram", **hist.as_dict()}
     return dict(sorted(out.items()))

@@ -17,16 +17,19 @@ inspectable.
 Naming convention (see ``docs/observability.md``): dotted lowercase paths,
 ``<layer>.<component>.<what>`` — e.g. ``net.messages_sent``,
 ``sched.sync.rounds``, ``geometry.delta_star.seconds``.  Histogram names
-end in a unit (``.seconds``, ``.bytes``).
+end in ``.seconds``: every histogram shares one bucket ladder from 1µs
+to ~67s.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Mapping, Optional
 
 __all__ = [
+    "BUCKET_BOUNDS",
     "Counter",
     "Gauge",
     "Histogram",
@@ -83,69 +86,119 @@ class Gauge:
                 "min": self.min, "updates": self.updates}
 
 
-class Histogram:
-    """Exact sample histogram with percentile queries.
+#: Geometric bucket ladder: 1µs · 2^i for i in 0..26 (≈1µs .. ≈67s).
+#: Samples above the last bound land in the overflow bucket.
+BUCKET_BOUNDS: tuple[float, ...] = tuple(1e-6 * 2.0**i for i in range(27))
 
-    Stores every observation (simulation scale — thousands, not billions),
-    so percentiles are exact order statistics with linear interpolation.
+
+class Histogram:
+    """Latency histogram over the fixed geometric :data:`BUCKET_BOUNDS`.
+
+    O(1) memory however many samples it sees: exact ``count``, ``total``,
+    ``min`` and ``max`` plus one count per bucket, so quantiles are
+    bucket-resolution estimates.  Two histograms merge exactly by adding
+    bucket counts (:meth:`merge`).  The per-bucket counts are
+    *non-cumulative*; renderers that need Prometheus-style cumulative
+    ``le`` counts accumulate at render time.
     """
 
-    __slots__ = ("samples",)
+    __slots__ = ("counts", "count", "total", "min", "max")
 
     def __init__(self) -> None:
-        self.samples: list[float] = []
+        self.counts = [0] * (len(BUCKET_BOUNDS) + 1)  # +1 = overflow
+        self.count = 0
+        self.total = 0.0
+        self.min = math.inf
+        self.max = -math.inf
 
     def observe(self, value: float) -> None:
-        self.samples.append(float(value))
+        value = float(value)
+        self.count += 1
+        self.total += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        self.counts[bisect_left(BUCKET_BOUNDS, value)] += 1
 
-    @property
-    def count(self) -> int:
-        return len(self.samples)
+    def merge(self, other: "Histogram") -> None:
+        """Fold ``other``'s samples into this histogram (exact)."""
+        for i, c in enumerate(other.counts):
+            self.counts[i] += c
+        self.count += other.count
+        self.total += other.total
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
 
-    @property
-    def total(self) -> float:
-        return sum(self.samples)
+    @classmethod
+    def from_dict(cls, record: Mapping[str, Any]) -> "Histogram":
+        """Rebuild a histogram from its :meth:`as_dict` document."""
+        h = cls()
+        if not record.get("count"):
+            return h
+        for bound, c in record["buckets"]:
+            i = (
+                len(BUCKET_BOUNDS) if bound == "inf"
+                else bisect_left(BUCKET_BOUNDS, float(bound))
+            )
+            h.counts[i] += int(c)
+        h.count = int(record["count"])
+        h.total = float(record["total"])
+        h.min = float(record["min"])
+        h.max = float(record["max"])
+        return h
 
     @property
     def mean(self) -> float:
-        return self.total / len(self.samples) if self.samples else 0.0
+        return self.total / self.count if self.count else 0.0
 
-    @property
-    def max(self) -> float:
-        return max(self.samples) if self.samples else 0.0
+    def quantile(self, q: float) -> float:
+        """Bucket-resolution estimate of the ``q``-quantile (0 <= q <= 1).
 
-    @property
-    def min(self) -> float:
-        return min(self.samples) if self.samples else 0.0
+        Returns the upper bound of the bucket holding the q-th sample,
+        clamped to the exact observed ``[min, max]`` (so overflow samples
+        never report an infinite latency).
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        if not self.count:
+            raise ValueError("quantile of an empty histogram")
+        rank = q * self.count
+        seen = 0
+        for i, c in enumerate(self.counts):
+            seen += c
+            if seen >= rank and c:
+                if i == len(BUCKET_BOUNDS):
+                    return self.max
+                return max(self.min, min(BUCKET_BOUNDS[i], self.max))
+        return self.max
 
-    def percentile(self, q: float) -> float:
-        """Exact q-th percentile (0 <= q <= 100), linearly interpolated."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        if not self.samples:
-            raise ValueError("percentile of an empty histogram")
-        xs = sorted(self.samples)
-        if len(xs) == 1:
-            return xs[0]
-        pos = (q / 100.0) * (len(xs) - 1)
-        lo = int(math.floor(pos))
-        hi = min(lo + 1, len(xs) - 1)
-        frac = pos - lo
-        return xs[lo] * (1.0 - frac) + xs[hi] * frac
+    def bucket_pairs(self) -> list[tuple[float, int]]:
+        """Non-empty ``(upper_bound_seconds, count)`` pairs; the overflow
+        bucket reports ``inf`` as its bound."""
+        return [
+            (BUCKET_BOUNDS[i] if i < len(BUCKET_BOUNDS) else math.inf, c)
+            for i, c in enumerate(self.counts)
+            if c
+        ]
 
     def as_dict(self) -> dict[str, Any]:
-        if not self.samples:
-            return {"type": "histogram", "count": 0}
+        if not self.count:
+            return {"count": 0}
         return {
-            "type": "histogram",
             "count": self.count,
             "total": self.total,
             "mean": self.mean,
             "min": self.min,
             "max": self.max,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
+            "p50": self.quantile(0.50),
+            "p90": self.quantile(0.90),
+            "p99": self.quantile(0.99),
+            # JSON has no inf: encode the overflow bound as the string "inf"
+            "buckets": [
+                ["inf" if b == math.inf else b, c]
+                for b, c in self.bucket_pairs()
+            ],
         }
 
 
@@ -202,7 +255,7 @@ class MetricsRegistry:
         for name, g in self._gauges.items():
             out[name] = g.as_dict()
         for name, h in self._histograms.items():
-            out[name] = h.as_dict()
+            out[name] = {"type": "histogram", **h.as_dict()}
         return dict(sorted(out.items()))
 
     def __repr__(self) -> str:

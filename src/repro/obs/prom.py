@@ -1,16 +1,16 @@
 """Prometheus text-format exposition of metrics and phase profiles.
 
 Renders a :class:`~repro.obs.metrics.MetricsRegistry` snapshot (and
-optionally a :class:`~repro.obs.perf.PhaseProfiler` snapshot) as the
-Prometheus text exposition format (version 0.0.4), so any scraper — or
-plain ``curl`` — can consume the repo's telemetry:
+optionally a :meth:`~repro.obs.tracer.Tracer.snapshot` of per-path span
+aggregates) as the Prometheus text exposition format (version 0.0.4), so
+any scraper — or plain ``curl`` — can consume the repo's telemetry:
 
 * counters → ``# TYPE <name> counter`` + one sample;
 * gauges → ``gauge`` (last-written value; ``_min``/``_max`` companions);
-* exact histograms (:class:`~repro.obs.metrics.Histogram`) → ``summary``
-  with exact ``quantile`` labels plus ``_sum``/``_count``;
-* fixed-bucket phase timers → native ``histogram`` with cumulative
-  ``le`` buckets, labelled by phase path.
+* histograms (:class:`~repro.obs.metrics.Histogram`, the one fixed-bucket
+  type) → native ``histogram`` with cumulative ``le`` buckets plus
+  ``_sum``/``_count``; span-path aggregates share one
+  ``repro_perf_phase_seconds`` family, labelled by path.
 
 Metric names are mapped into the Prometheus grammar by replacing every
 character outside ``[a-zA-Z0-9_:]`` with ``_`` and prefixing ``repro_``
@@ -94,8 +94,7 @@ def render_metrics_snapshot(
     """Render a ``MetricsRegistry.snapshot()`` document as exposition text.
 
     Counters map to counters, gauges to gauges (with ``_min``/``_max``
-    companion gauges), exact histograms to summaries with exact
-    quantiles.
+    companion gauges), histograms to native ``le`` histograms.
     """
     lines: list[str] = []
     for name in sorted(snapshot):
@@ -116,83 +115,64 @@ def render_metrics_snapshot(
             lines.append(f"{pname}_max {_fmt(float(record['max']))}")
         elif kind == "histogram":
             lines.append(f"# HELP {pname} repro histogram {name}")
-            lines.append(f"# TYPE {pname} summary")
-            count = int(record.get("count", 0))
-            if count:
-                for q, key in ((0.5, "p50"), (0.9, "p90"), (0.99, "p99")):
-                    lines.append(
-                        f'{pname}{{quantile="{q}"}} '
-                        f"{_fmt(float(record[key]))}"
-                    )
-                lines.append(f"{pname}_sum {_fmt(float(record['total']))}")
-            else:
-                lines.append(f"{pname}_sum 0")
-            lines.append(f"{pname}_count {count}")
+            lines.append(f"# TYPE {pname} histogram")
+            lines.extend(_histogram_samples(pname, "", record))
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _histogram_samples(
+    base: str, label: str, record: Mapping[str, Any]
+) -> list[str]:
+    """Sample lines of one histogram series from its ``as_dict`` record:
+    cumulative ``le`` buckets ending in ``+Inf``, then ``_sum``/``_count``.
+    ``label`` is a rendered ``key="value"`` pair (or empty)."""
+    sep = label + "," if label else ""
+    braces = "{" + label + "}" if label else ""
+    count = int(record.get("count", 0))
+    lines: list[str] = []
+    cumulative = 0
+    for bound, c in record.get("buckets", []):
+        if bound == "inf":
+            continue  # the overflow bucket is the +Inf line below
+        cumulative += int(c)
+        lines.append(
+            f'{base}_bucket{{{sep}le="{_fmt(float(bound))}"}} {cumulative}'
+        )
+    lines.append(f'{base}_bucket{{{sep}le="+Inf"}} {count}')
+    lines.append(f"{base}_sum{braces} {_fmt(float(record.get('total', 0.0)))}")
+    lines.append(f"{base}_count{braces} {count}")
+    return lines
 
 
 def render_profiler_snapshot(
     snapshot: Mapping[str, Any], *, prefix: str = "repro_"
 ) -> str:
-    """Render a ``PhaseProfiler.snapshot()`` document as exposition text.
+    """Render a :meth:`~repro.obs.tracer.Tracer.snapshot` as exposition text.
 
-    Every phase path becomes one series of the
-    ``repro_perf_phase_seconds`` histogram family (cumulative ``le``
-    buckets straight from the fixed bucket ladder), plus
-    ``repro_perf_phase_cpu_seconds_total`` counters; geometry-cache
-    lookups surface as ``repro_perf_cache_lookups_total``.
+    Every span path becomes one series of the ``repro_perf_phase_seconds``
+    histogram family (cumulative ``le`` buckets straight from the fixed
+    bucket ladder), plus ``repro_perf_phase_cpu_seconds_total`` counters.
     """
     phases: Mapping[str, Any] = snapshot.get("phases", {})
-    lines: list[str] = []
-    if phases:
-        base = prefix + "perf_phase_seconds"
-        lines.append(f"# HELP {base} wall seconds per profiled phase")
-        lines.append(f"# TYPE {base} histogram")
-        for path in sorted(phases):
-            entry = phases[path]
-            label = _escape_label(path)
-            cumulative = 0
-            saw_inf = False
-            for bound, count in entry.get("buckets", []):
-                cumulative += int(count)
-                saw_inf = saw_inf or bound == "inf"
-                le = "+Inf" if bound == "inf" else _fmt(float(bound))
-                lines.append(
-                    f'{base}_bucket{{phase="{label}",le="{le}"}} {cumulative}'
-                )
-            count_total = int(entry.get("count", 0))
-            if not saw_inf:  # a histogram always ends with its +Inf bucket
-                lines.append(
-                    f'{base}_bucket{{phase="{label}",le="+Inf"}} {count_total}'
-                )
-            lines.append(
-                f'{base}_sum{{phase="{label}"}} '
-                f"{_fmt(float(entry.get('wall_seconds', 0.0)))}"
-            )
-            lines.append(f'{base}_count{{phase="{label}"}} {count_total}')
-        cpu = prefix + "perf_phase_cpu_seconds_total"
-        lines.append(f"# HELP {cpu} CPU seconds per profiled phase")
-        lines.append(f"# TYPE {cpu} counter")
-        for path in sorted(phases):
-            label = _escape_label(path)
-            lines.append(
-                f'{cpu}{{phase="{label}"}} '
-                f"{_fmt(float(phases[path].get('cpu_seconds', 0.0)))}"
-            )
-    cache: Mapping[str, Any] = snapshot.get("cache", {})
-    if cache:
-        name = prefix + "perf_cache_lookups_total"
-        lines.append(f"# HELP {name} geometry cache lookups per kernel")
-        lines.append(f"# TYPE {name} counter")
-        for kernel in sorted(cache):
-            entry = cache[kernel]
-            klabel = _escape_label(kernel)
-            for outcome in ("hits", "misses"):
-                lines.append(
-                    f'{name}{{kernel="{klabel}",outcome="{outcome}"}} '
-                    f"{int(entry[outcome])}"
-                )
-    return "\n".join(lines) + ("\n" if lines else "")
+    if not phases:
+        return ""
+    base = prefix + "perf_phase_seconds"
+    cpu = prefix + "perf_phase_cpu_seconds_total"
+    lines = [
+        f"# HELP {base} wall seconds per span path",
+        f"# TYPE {base} histogram",
+    ]
+    for path in sorted(phases):
+        label = f'phase="{_escape_label(path)}"'
+        lines.extend(_histogram_samples(base, label, phases[path]))
+    lines.append(f"# HELP {cpu} CPU seconds per span path")
+    lines.append(f"# TYPE {cpu} counter")
+    for path in sorted(phases):
+        lines.append(
+            f'{cpu}{{phase="{_escape_label(path)}"}} '
+            f"{_fmt(float(phases[path].get('cpu_seconds', 0.0)))}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def render_exposition(
@@ -201,13 +181,11 @@ def render_exposition(
     *,
     prefix: str = "repro_",
 ) -> str:
-    """Full scrape body: metrics first, then the phase profile (if any)."""
+    """Full scrape body: metrics first, then the span-path profile (if any)."""
     parts = []
     if metrics_snapshot:
         parts.append(render_metrics_snapshot(metrics_snapshot, prefix=prefix))
-    if perf_snapshot and (
-        perf_snapshot.get("phases") or perf_snapshot.get("cache")
-    ):
+    if perf_snapshot:
         parts.append(render_profiler_snapshot(perf_snapshot, prefix=prefix))
     body = "".join(parts)
     return body if body else "# (no metrics recorded)\n"

@@ -514,13 +514,15 @@ class LiveNode:
     def _fold_live_metrics(self, registry: MetricsRegistry) -> None:
         totals = {name: 0 for name in LinkStats.COUNTER_FIELDS}
         depth_peak = 0
-        wait_samples: list[float] = []
         for peer_id in sorted(self._links):
             stats = self._links[peer_id].stats
             for name, value in stats.as_dict().items():
                 totals[name] += value
             depth_peak = max(depth_peak, stats.queue_depth_peak)
-            wait_samples.extend(stats.queue_wait_samples)
+            if stats.queue_wait.count:
+                registry.histogram("net.live.queue_wait.seconds").merge(
+                    stats.queue_wait
+                )
         for name in sorted(totals):
             registry.counter(f"net.live.{name}").value = totals[name]
         registry.counter("net.live.dupes_dropped").value = self.dupes_dropped
@@ -532,8 +534,6 @@ class LiveNode:
         )
         if depth_peak:
             registry.set_gauge("net.live.queue_depth_peak", depth_peak)
-        for sample in wait_samples:
-            registry.observe("net.live.queue_wait_us", sample * 1e6)
 
 
 class LiveTransport(Transport):
@@ -764,10 +764,9 @@ class LiveTransport(Transport):
                     if not gauge.updates or metric["value"] > gauge.value:
                         gauge.set(metric["value"])
                 elif kind == "histogram" and metric.get("count"):
-                    # The per-node registry is in-process: merge the
-                    # exact samples, not the snapshot's summary stats.
-                    for sample in result.metrics.histogram(name).samples:
-                        registry.observe(name, sample)
+                    registry.histogram(name).merge(
+                        result.metrics.histogram(name)
+                    )
         _fold_network_stats(registry, stats)
         probe_reports = ()
         if probes:

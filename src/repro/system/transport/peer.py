@@ -33,8 +33,9 @@ carry no randomness of their own.
 Beyond the six link counters, each link records transport telemetry the
 node folds into its registry: bytes written (``bytes_sent``), the
 deepest the send queue ever got (``queue_depth_peak``), and per-frame
-queue-wait times (``queue_wait_samples``, seconds from enqueue to first
-write attempt — exported as the ``net.live.queue_wait_us`` histogram).
+queue-wait times (``queue_wait``, a fixed-bucket histogram of seconds
+from enqueue to first write attempt — exported as the
+``net.live.queue_wait.seconds`` histogram).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import asyncio
 import struct
 from typing import Any, Awaitable, Callable, Optional
 
+from ...obs.metrics import Histogram
 from . import wire
 
 __all__ = ["LinkStats", "PeerLink"]
@@ -52,13 +54,13 @@ Dialer = Callable[[], Awaitable[tuple[Any, Any]]]
 
 
 class LinkStats:
-    """Counters and samples one link maintains.
+    """Counters and the queue-wait histogram one link maintains.
 
     The fields named in :data:`COUNTER_FIELDS` are plain monotonic
     counters — :meth:`as_dict` exposes exactly those, and the node sums
     them across links into ``net.live.*`` counters.  ``queue_depth_peak``
-    and ``queue_wait_samples`` are *not* counters (a peak maxes, samples
-    concatenate) and are folded explicitly.
+    and ``queue_wait`` are *not* counters (a peak maxes, histograms
+    merge) and are folded explicitly.
     """
 
     COUNTER_FIELDS = (
@@ -71,7 +73,7 @@ class LinkStats:
         "bytes_sent",
     )
 
-    __slots__ = COUNTER_FIELDS + ("queue_depth_peak", "queue_wait_samples")
+    __slots__ = COUNTER_FIELDS + ("queue_depth_peak", "queue_wait")
 
     def __init__(self) -> None:
         self.frames_sent = 0
@@ -82,7 +84,7 @@ class LinkStats:
         self.chaos_closes = 0
         self.bytes_sent = 0
         self.queue_depth_peak = 0
-        self.queue_wait_samples: list[float] = []
+        self.queue_wait = Histogram()
 
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
@@ -270,7 +272,7 @@ class PeerLink:
                                 pass
                             return
                         pending, enqueued_at = item
-                        self.stats.queue_wait_samples.append(
+                        self.stats.queue_wait.observe(
                             max(0.0, loop.time() - enqueued_at)
                         )
                     else:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis.profiling import (
     metrics_record,
-    render_flame,
+    render_phase_flame,
     render_summary,
     summarize_spans,
 )
@@ -96,26 +96,25 @@ class TestRenderers:
         assert "msgs" in text and "lat.seconds" in text
 
     def test_flame_tree_indented(self):
-        tracer, registry = _sample_trace()
-        records = trace_to_records(tracer, registry)
-        flame = render_flame(records)
+        tracer, _ = _sample_trace()
+        flame = render_phase_flame(tracer.snapshot())
         lines = flame.splitlines()
         assert lines[0].startswith("run")
-        assert all("  round" in ln for ln in lines[1:3])
-        assert "round=0" in flame and "round=1" in flame
+        assert lines[1].startswith("  round") and lines[1].endswith("x2")
 
-    def test_flame_truncates_wide_sibling_lists(self):
-        tracer = Tracer()
+    def test_flame_folds_wide_sibling_lists(self):
+        tracer = Tracer(records=False)
         with use_tracer(tracer):
             with trace_span("root"):
                 for i in range(30):
                     with trace_span("step", i=i):
                         pass
-        flame = render_flame(trace_to_records(tracer), max_children=10)
-        assert "(20 more children)" in flame
+        flame = render_phase_flame(tracer.snapshot())
+        assert flame.splitlines()[1].strip().endswith("x30")
+        assert len(flame.splitlines()) == 2
 
     def test_empty_inputs(self):
-        assert "no spans" in render_flame([])
+        assert "no phases" in render_phase_flame({})
         assert "no spans" in render_summary([])
         assert metrics_record([]) is None
 

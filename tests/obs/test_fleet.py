@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.obs.causal import CausalCollector
+from repro.obs.metrics import Histogram
 from repro.obs.fleet import (
     aggregate_metrics,
     discover_trails,
@@ -32,6 +33,13 @@ def dump_trail(path, records) -> str:
         for rec in records:
             fp.write(json.dumps(rec) + "\n")
     return str(path)
+
+
+def histogram_record(*samples: float) -> dict:
+    h = Histogram()
+    for v in samples:
+        h.observe(v)
+    return {"type": "histogram", **h.as_dict()}
 
 
 def header(pid: int, wall_time: float = 100.0) -> dict:
@@ -235,35 +243,51 @@ class TestAggregateMetrics:
         ))
 
     def test_counters_sum_gauges_envelope_histograms_merge(self, tmp_path):
+        wait_a = histogram_record(0.010, 0.020)
+        wait_b = histogram_record(0.004, 0.006)
         a = self._trail(tmp_path, 0, {
             "net.live.frames_sent": {"type": "counter", "value": 10},
             "net.live.queue_depth_peak": {
                 "type": "gauge", "value": 3, "max": 3, "min": 1, "updates": 2,
             },
-            "net.live.queue_wait_us": {
-                "type": "histogram", "count": 2, "total": 30.0,
-                "mean": 15.0, "min": 10.0, "max": 20.0,
-                "p50": 15.0, "p90": 19.0, "p99": 20.0,
-            },
+            "net.live.queue_wait.seconds": wait_a,
         })
         b = self._trail(tmp_path, 1, {
             "net.live.frames_sent": {"type": "counter", "value": 5},
             "net.live.queue_depth_peak": {
                 "type": "gauge", "value": 7, "max": 7, "min": 2, "updates": 1,
             },
-            "net.live.queue_wait_us": {
-                "type": "histogram", "count": 2, "total": 10.0,
-                "mean": 5.0, "min": 4.0, "max": 6.0,
-                "p50": 5.0, "p90": 6.0, "p99": 6.0,
-            },
+            "net.live.queue_wait.seconds": wait_b,
         })
         merged = aggregate_metrics([a, b])
         assert merged["net.live.frames_sent"]["value"] == 15
         gauge = merged["net.live.queue_depth_peak"]
         assert (gauge["value"], gauge["max"], gauge["min"]) == (7, 7, 1)
         assert gauge["updates"] == 3
-        hist = merged["net.live.queue_wait_us"]
+        hist = merged["net.live.queue_wait.seconds"]
+        assert hist["type"] == "histogram"
         assert hist["count"] == 4
-        assert hist["total"] == 40.0
-        assert hist["mean"] == 10.0
-        assert (hist["min"], hist["max"]) == (4.0, 20.0)
+        assert hist["total"] == pytest.approx(0.040)
+        assert hist["mean"] == pytest.approx(0.010)
+        assert (hist["min"], hist["max"]) == (0.004, 0.020)
+        assert sum(c for _, c in hist["buckets"]) == 4
+
+    def test_skewed_histograms_merge_to_the_quantiles_of_all_samples(
+        self, tmp_path
+    ):
+        # one node saw a single 1 ms wait, the other nine 100 ms waits:
+        # the fleet p50 is a 100 ms-bucket value, not a count-weighted
+        # average of the two nodes' quantiles
+        a = self._trail(tmp_path, 0, {
+            "net.live.queue_wait.seconds": histogram_record(0.001),
+        })
+        b = self._trail(tmp_path, 1, {
+            "net.live.queue_wait.seconds": histogram_record(*[0.1] * 9),
+        })
+        merged = aggregate_metrics([a, b])["net.live.queue_wait.seconds"]
+        one = Histogram()
+        for v in [0.001] + [0.1] * 9:
+            one.observe(v)
+        for q in ("p50", "p90", "p99"):
+            assert merged[q] == one.as_dict()[q]
+        assert merged["count"] == one.count

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.obs import MetricsRegistry, timed, use_registry
+from repro.obs import MetricsRegistry, use_registry
 from repro.obs.metrics import (
+    Histogram,
     active_registry,
     current_registry,
     global_registry,
@@ -41,15 +44,16 @@ class TestGauges:
 
 
 class TestHistograms:
-    def test_percentiles_exact(self):
+    def test_percentiles_bucket_resolution(self):
         reg = MetricsRegistry()
         for v in range(1, 101):  # 1..100
             reg.observe("lat", float(v))
         h = reg.histogram("lat")
-        assert h.percentile(0) == 1.0
-        assert h.percentile(100) == 100.0
-        assert h.percentile(50) == pytest.approx(50.5)
-        assert h.percentile(90) == pytest.approx(90.1)
+        # a quantile is the upper bound of its sample's bucket: never
+        # below the exact order statistic, at most one ladder step above
+        for q, exact in ((0.5, 50.0), (0.9, 90.0), (0.99, 99.0)):
+            assert exact <= h.quantile(q) <= 2.0 * exact
+        assert h.quantile(1.0) == 100.0  # clamped to the exact max
         assert h.mean == pytest.approx(50.5)
         assert h.count == 100
         assert h.max == 100.0 and h.min == 1.0
@@ -58,14 +62,15 @@ class TestHistograms:
         reg = MetricsRegistry()
         reg.observe("x", 2.5)
         h = reg.histogram("x")
-        assert h.percentile(0) == h.percentile(50) == h.percentile(100) == 2.5
+        assert h.quantile(0) == h.quantile(0.5) == h.quantile(1) == 2.5
 
     def test_empty_percentile_raises(self):
         h = MetricsRegistry().histogram("empty")
         with pytest.raises(ValueError):
-            h.percentile(50)
+            h.quantile(0.5)
+        h.observe(1.0)
         with pytest.raises(ValueError):
-            h.percentile(-1)
+            h.quantile(-0.01)
 
     def test_snapshot_has_standard_quantiles(self):
         reg = MetricsRegistry()
@@ -73,7 +78,28 @@ class TestHistograms:
             reg.observe("h", v)
         snap = reg.snapshot()["h"]
         assert snap["type"] == "histogram"
-        assert set(snap) >= {"count", "total", "mean", "p50", "p90", "p99"}
+        assert set(snap) >= {"count", "total", "mean", "p50", "p90", "p99",
+                             "buckets"}
+
+    def test_merge_equals_one_histogram_fed_every_sample(self):
+        a, b, both = Histogram(), Histogram(), Histogram()
+        for i, v in enumerate((0.001, 0.1, 0.1, 3e-6, 1e9, 0.02)):
+            (a if i % 2 else b).observe(v)
+            both.observe(v)
+        a.merge(b)
+        assert a.counts == both.counts
+        assert (a.count, a.min, a.max) == (both.count, both.min, both.max)
+        assert a.total == pytest.approx(both.total)
+        for q in (0.5, 0.9, 0.99):
+            assert a.quantile(q) == both.quantile(q)
+
+    def test_from_dict_round_trips_through_json(self):
+        h = Histogram()
+        for v in (2e-6, 0.004, 0.004, 1e9):
+            h.observe(v)
+        doc = json.loads(json.dumps(h.as_dict()))
+        assert Histogram.from_dict(doc).as_dict() == h.as_dict()
+        assert Histogram.from_dict({"count": 0}).as_dict() == {"count": 0}
 
 
 class TestAmbientRegistry:
@@ -102,31 +128,3 @@ class TestAmbientRegistry:
             inc("x")
         assert outer.counter_value("x") == 2
         assert inner.counter_value("x") == 1
-
-
-class TestTimed:
-    def test_timed_records_histogram(self):
-        reg = MetricsRegistry()
-
-        @timed("unit.work")
-        def work(a, b):
-            return a + b
-
-        with use_registry(reg):
-            assert work(2, 3) == 5
-            assert work(1, 1) == 2
-        h = reg.histogram("unit.work.seconds")
-        assert h.count == 2
-        assert all(s >= 0 for s in h.samples)
-
-    def test_timed_records_even_on_exception(self):
-        reg = MetricsRegistry()
-
-        @timed("boom")
-        def explode():
-            raise RuntimeError("no")
-
-        with use_registry(reg):
-            with pytest.raises(RuntimeError):
-                explode()
-        assert reg.histogram("boom.seconds").count == 1

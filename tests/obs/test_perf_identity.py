@@ -1,15 +1,15 @@
-"""The phase profiler observes a sweep without changing it.
+"""The tracer observes a sweep without changing it.
 
-Same contract as the probe/causal identity suite: enabling the perf
-timers yields bit-identical decision vectors, because the profiler only
-reads clocks around phases — it never touches algorithm state or RNG
-streams.
+Same contract as the probe/causal identity suite: enabling the tracer's
+span timers yields bit-identical decision vectors, because the tracer
+only reads clocks around spans — it never touches algorithm state or
+RNG streams.
 """
 
 from __future__ import annotations
 
 from repro.exec import SweepGrid, run_grid
-from repro.obs.perf import PhaseProfiler, use_profiler
+from repro.obs.tracer import Tracer, use_tracer
 
 
 def _grid(**kw) -> SweepGrid:
@@ -29,17 +29,17 @@ def _grid(**kw) -> SweepGrid:
 class TestDigestIdentity:
     def test_perf_timers_do_not_move_the_decisions_digest(self):
         plain = run_grid(_grid())
-        prof = PhaseProfiler()
-        with use_profiler(prof):
-            timed = run_grid(_grid())
-        assert plain.decisions_digest() == timed.decisions_digest()
-        # and the profiler actually saw the sweep — the identity is not
-        # vacuous because instrumentation silently stayed off
-        assert len(prof) > 0
+        for tracer in (Tracer(records=False), Tracer()):
+            with use_tracer(tracer):
+                timed = run_grid(_grid())
+            assert plain.decisions_digest() == timed.decisions_digest()
+            # and the tracer actually saw the sweep — the identity is not
+            # vacuous because instrumentation silently stayed off
+            assert tracer.snapshot()["phases"]
 
     def test_profiler_composes_with_probes(self):
         plain = run_grid(_grid())
-        with use_profiler(PhaseProfiler()):
+        with use_tracer(Tracer(records=False)):
             both = run_grid(_grid(probes=("all",)))
         assert plain.decisions_digest() == both.decisions_digest()
         assert both.probe_violations == 0

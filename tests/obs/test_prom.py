@@ -8,7 +8,7 @@ import urllib.request
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.perf import PhaseProfiler
+from repro.obs.tracer import Tracer
 from repro.obs.prom import (
     CONTENT_TYPE,
     MetricsServer,
@@ -59,16 +59,21 @@ class TestMetricsRendering:
         assert got[("repro_sched_sync_backlog_min", ())] == 2.5
         assert got[("repro_sched_round_seconds_count", ())] == 3
         assert got[("repro_sched_round_seconds_sum", ())] == pytest.approx(0.06)
-        assert (
-            "repro_sched_round_seconds",
-            (("quantile", "0.5"),),
-        ) in got
+        assert got[("repro_sched_round_seconds_bucket", (("le", "+Inf"),))] == 3
+        # 0.01 lands in the 16.384 ms bucket, 0.02 and 0.03 in 32.768 ms
+        assert got[
+            ("repro_sched_round_seconds_bucket", (("le", "0.016384"),))
+        ] == 1
+        assert got[
+            ("repro_sched_round_seconds_bucket", (("le", "0.032768"),))
+        ] == 3
 
     def test_type_lines_match_metric_kinds(self):
         text = render_metrics_snapshot(self._registry().snapshot())
         assert "# TYPE repro_bcast_bracha_echo counter" in text
         assert "# TYPE repro_sched_sync_backlog gauge" in text
-        assert "# TYPE repro_sched_round_seconds summary" in text
+        assert "# TYPE repro_sched_round_seconds histogram" in text
+        assert " summary" not in text
 
     def test_untouched_gauge_is_omitted(self):
         reg = MetricsRegistry()
@@ -77,14 +82,12 @@ class TestMetricsRendering:
 
 
 class TestProfilerRendering:
-    def _profiler(self) -> PhaseProfiler:
-        p = PhaseProfiler()
-        with p.phase("core.run"):
-            with p.phase("geometry.delta_star"):
+    def _profiler(self) -> Tracer:
+        t = Tracer(records=False)
+        with t.span("core.run"):
+            with t.span("geometry.delta_star"):
                 pass
-        p.note_cache("delta_star", True)
-        p.note_cache("delta_star", False)
-        return p
+        return t
 
     def test_phase_histograms_have_cumulative_buckets(self):
         text = render_profiler_snapshot(self._profiler().snapshot())
@@ -110,10 +113,19 @@ class TestProfilerRendering:
         assert 'phase="core.run/geometry.delta_star"' in text
 
     def test_cache_counters_per_kernel_and_outcome(self):
-        got = samples(render_profiler_snapshot(self._profiler().snapshot()))
-        key = "repro_perf_cache_lookups_total"
-        assert got[(key, (("kernel", "delta_star"), ("outcome", "hits")))] == 1
-        assert got[(key, (("kernel", "delta_star"), ("outcome", "misses")))] == 1
+        # geometry-cache lookups are registry counters, one per kernel
+        # and outcome, in the same exposition as the span histograms
+        reg = MetricsRegistry()
+        reg.inc("geometry.cache.delta_star.hits")
+        reg.inc("geometry.cache.delta_star.misses", 2)
+        got = samples(render_exposition(
+            reg.snapshot(), self._profiler().snapshot()
+        ))
+        assert got[("repro_geometry_cache_delta_star_hits", ())] == 1
+        assert got[("repro_geometry_cache_delta_star_misses", ())] == 2
+        assert got[
+            ("repro_perf_phase_seconds_count", (("phase", "core.run"),))
+        ] == 1
 
     def test_empty_exposition_placeholder(self):
         assert render_exposition(None, None) == "# (no metrics recorded)\n"

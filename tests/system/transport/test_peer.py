@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import asyncio
 import struct
+import sys
 
 import pytest
 
 from repro.system.messages import Message
 from repro.system.transport import wire
-from repro.system.transport.peer import PeerLink
+from repro.system.transport.peer import LinkStats, PeerLink
 
 INSTANCE = "test-run"
 
@@ -360,10 +361,10 @@ class TestLinkTelemetry:
         assert stats.frames_sent == 2
         assert stats.bytes_sent > 0
         assert stats.queue_depth_peak == 2
-        assert len(stats.queue_wait_samples) == 2
-        assert all(s >= 0.0 for s in stats.queue_wait_samples)
-        # as_dict exposes exactly the counter fields — gauges and samples
-        # fold into the registry elsewhere, under their own metric types.
+        assert stats.queue_wait.count == 2
+        assert stats.queue_wait.min >= 0.0
+        # as_dict exposes exactly the counter fields — the gauge and the
+        # histogram fold into the registry elsewhere, under their own types.
         assert set(stats.as_dict()) == set(stats.COUNTER_FIELDS)
         assert stats.as_dict()["bytes_sent"] == stats.bytes_sent
 
@@ -389,7 +390,24 @@ class TestLinkTelemetry:
 
         link = asyncio.run(go())
         assert link.stats.retransmits == 1
-        assert len(link.stats.queue_wait_samples) == 3
+        assert link.stats.queue_wait.count == 3
+
+    def test_queue_wait_state_is_bounded(self):
+        # a long-running node observes one wait per frame: the histogram
+        # costs the same after 10,000 frames as after 10
+        def state_size(stats: LinkStats) -> int:
+            h = stats.queue_wait
+            return sys.getsizeof(h.counts) + sum(
+                sys.getsizeof(getattr(h, slot)) for slot in h.__slots__
+            )
+
+        few, many = LinkStats(), LinkStats()
+        for i in range(10):
+            few.queue_wait.observe(i * 1e-4)
+        for i in range(10_000):
+            many.queue_wait.observe(i * 1e-4)
+        assert many.queue_wait.count == 10_000
+        assert state_size(many) == state_size(few)
 
 
 class TestSequenceNumbers:

@@ -140,6 +140,21 @@ class TestArgumentValidation:
         main(["demo", "--n", "3"])
         assert "n >= 3f+1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["fuzz"], ["fleet", "probes"]])
+    def test_inject_choices_are_the_injection_table(self, command, capsys):
+        from repro.dst.explore import INJECTIONS
+
+        for name in INJECTIONS:
+            args = build_parser().parse_args([*command, "--inject", name])
+            assert args.inject == name
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*command, "--inject", "no-such-bug"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        error_lines = [ln for ln in err.splitlines() if "error:" in ln]
+        assert len(error_lines) == 1 and "no-such-bug" in error_lines[0]
+        assert "Traceback" not in err
+
 
 class TestQuietVerbose:
     def test_quiet_demo_prints_only_verdict(self, capsys):
