@@ -23,8 +23,9 @@ Commands
               deltas between two exported JSONL traces
 ``node``      run ONE live consensus node (own OS process) from a
               topology file; prints a one-line JSON decision record
-``launch``    spawn an n-node local live cluster (TCP or UDS), collect
-              every node's decision, and judge agreement
+``launch``    spawn an n-node local live cluster (TCP or UDS) running
+              one RunSpec, collect every node's decision, and judge
+              them with the runner's checker
 ``lint``      protocol-aware static analysis: per-file rule families
               (determinism/float-safety/resilience-bounds/handler-
               hygiene/observability) plus whole-program flow analysis
@@ -877,8 +878,9 @@ def _cmd_node(args: argparse.Namespace) -> int:
         doc = load_topology(args.topology)
     except (OSError, ValueError) as exc:
         return _fail(f"cannot load topology {args.topology!r}: {exc}")
-    if not 0 <= args.id < int(doc["n"]):
-        return _fail(f"--id must be in 0..{int(doc['n']) - 1}, got {args.id}")
+    n = int(doc["spec"]["n"])
+    if not 0 <= args.id < n:
+        return _fail(f"--id must be in 0..{n - 1}, got {args.id}")
 
     def emit(record: dict) -> None:
         # Printed before any --linger window so the launcher can read the
@@ -898,16 +900,20 @@ def _cmd_node(args: argparse.Namespace) -> int:
 def _cmd_launch(args: argparse.Namespace) -> int:
     import json
 
+    from .core import RunSpec
     from .exec.live_launch import launch_local
 
     if args.n < 2:
         return _fail(f"--n must be >= 2, got {args.n}")
     try:
+        spec = RunSpec(
+            algorithm=args.algorithm, n=args.n, d=args.d, f=args.f,
+            transport=f"live-{args.transport}", seed=args.seed,
+            broadcast=args.broadcast, p=args.p, k=args.k,
+            epsilon=args.epsilon, rounds=args.rounds,
+        )
         report = launch_local(
-            args.algorithm, args.n, args.d, args.f,
-            kind=args.transport, seed=args.seed, broadcast=args.broadcast,
-            p=args.p, k=args.k, epsilon=args.epsilon, rounds=args.rounds,
-            timeout=args.timeout, metrics_port=args.metrics_port,
+            spec, timeout=args.timeout, metrics_port=args.metrics_port,
             linger=args.linger, trace_dir=args.trace_dir,
         )
     except ValueError as exc:
@@ -926,8 +932,9 @@ def _cmd_launch(args: argparse.Namespace) -> int:
     for err in report["errors"]:
         print(f"  ERROR {err}", file=sys.stderr)
     print(f"agreement spread {report['agreement_spread']:.3e} "
-          f"(tolerance {report['agreement_tolerance']:.3e}); "
-          f"{report['decided_nodes']}/{report['n']} decided -> "
+          f"(tolerance {report['agreement_tolerance']:.3e}); validity "
+          + ("ok" if report["validity_ok"] else "VIOLATED")
+          + f"; {report['decided_nodes']}/{report['n']} decided -> "
           + ("OK" if report["ok"] else "FAILED"))
     if args.out:
         try:
@@ -988,6 +995,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from .dst.explore import INJECTIONS
+    from .system.broadcast.interface import BROADCAST_KINDS
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -1223,7 +1231,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(prints a one-line JSON decision record)",
     )
     p.add_argument("--topology", required=True,
-                   help="topology JSON (repro.transport.topology/1), "
+                   help="topology JSON (repro.transport.topology/2), "
                         "shared by every node of the cluster")
     p.add_argument("--id", type=int, required=True,
                    help="this node's id (0..n-1)")
@@ -1253,14 +1261,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="master seed: inputs, per-node rngs, signature keys")
     p.add_argument("--broadcast", default="eig",
-                   choices=["eig", "dolev-strong", "atomic"],
+                   choices=BROADCAST_KINDS + ("atomic",),
                    help="sync algorithms' broadcast primitive (default eig)")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--epsilon", type=float, default=5e-2)
     p.add_argument("--rounds", type=int, default=None,
                    help="protocol rounds (default: the algorithm's own "
-                        "estimate, resolved into the topology file)")
+                        "estimate, which every node derives from the seed)")
     p.add_argument("--timeout", type=float, default=120.0,
                    help="whole-cluster wall-clock budget in seconds")
     p.add_argument("--metrics-port", type=int, default=None,

@@ -108,9 +108,14 @@ class ProblemSpec:
             raise ValueError(f"f must be >= 0, got {self.f}")
 
     # -- per-problem hooks ---------------------------------------------------
+    @property
+    def agreement_tolerance(self) -> float:
+        """Largest L_inf decision diameter agreement accepts."""
+        return 1e-9
+
     def _agreement_ok(self, decisions: Mapping[int, np.ndarray]) -> tuple[bool, float]:
         diam = agreement_diameter(decisions)
-        return diam <= 1e-9, diam
+        return diam <= self.agreement_tolerance, diam
 
     def _decision_violation(
         self, decision: np.ndarray, honest_inputs: np.ndarray
@@ -187,11 +192,9 @@ class ApproximateBVC(ProblemSpec):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
 
-    def _agreement_ok(
-        self, decisions: Mapping[int, np.ndarray]
-    ) -> tuple[bool, float]:
-        diam = agreement_diameter(decisions)
-        return diam <= self.epsilon + 1e-12, diam
+    @property
+    def agreement_tolerance(self) -> float:
+        return self.epsilon + 1e-12
 
     def _decision_violation(
         self, decision: np.ndarray, honest_inputs: np.ndarray
@@ -227,11 +230,9 @@ class KRelaxedApproximateBVC(KRelaxedExactBVC):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
 
-    def _agreement_ok(
-        self, decisions: Mapping[int, np.ndarray]
-    ) -> tuple[bool, float]:
-        diam = agreement_diameter(decisions)
-        return diam <= self.epsilon + 1e-12, diam
+    @property
+    def agreement_tolerance(self) -> float:
+        return self.epsilon + 1e-12
 
 
 @dataclass(frozen=True)
@@ -269,8 +270,6 @@ class DeltaPApproximateBVC(DeltaPExactBVC):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
 
-    def _agreement_ok(
-        self, decisions: Mapping[int, np.ndarray]
-    ) -> tuple[bool, float]:
-        diam = agreement_diameter(decisions)
-        return diam <= self.epsilon + 1e-12, diam
+    @property
+    def agreement_tolerance(self) -> float:
+        return self.epsilon + 1e-12

@@ -53,7 +53,7 @@ from .scalar import ScalarConsensusProcess
 if TYPE_CHECKING:
     from ..obs.metrics import MetricsRegistry
 
-__all__ = ["ConsensusOutcome", "RunSpec", "run"]
+__all__ = ["ConsensusOutcome", "RunSpec", "check_run", "run"]
 
 #: What a builder hands the shared path: one process per pid, plus the
 #: scheduler keywords specific to the algorithm.
@@ -250,10 +250,41 @@ _ALGORITHMS: dict[str, tuple[Builder, ProblemFor]] = {
 assert set(_ALGORITHMS) == set(ALGORITHMS)
 
 
+def check_run(
+    spec: RunSpec,
+    honest_inputs: np.ndarray,
+    decisions: Mapping[int, np.ndarray],
+    deltas_used: Sequence[Optional[float]],
+    *,
+    terminated: bool,
+) -> tuple[ValidityReport, ProblemSpec, float, Optional[float]]:
+    """Judge the correct processes' decisions of one execution of ``spec``.
+
+    ``deltas_used`` holds each correct process's achieved δ (None where
+    the algorithm reports none).  The run's δ is their maximum:
+    synchronous processes all derive δ from the same agreed vectors, and
+    asynchronous ones each fold a running max.  The algorithm's problem
+    rule turns it into a :class:`~repro.core.problems.ProblemSpec` and a
+    membership tolerance, and the decisions are checked once.
+
+    Returns ``(report, problem, tol, delta_used)``.  Simulated and live
+    runs (``repro launch``) are both judged here.
+    """
+    deltas = [delta for delta in deltas_used if delta is not None]
+    delta_used = max(deltas) if deltas else None
+    problem, tol = _ALGORITHMS[spec.algorithm][1](
+        spec, honest_inputs.shape[1], delta_used
+    )
+    report = problem.check(
+        honest_inputs, decisions, terminated=terminated, tol=tol
+    )
+    return report, problem, tol, delta_used
+
+
 def _execute(spec: RunSpec) -> ConsensusOutcome:
-    build, problem_for = _ALGORITHMS[spec.algorithm]
+    build = _ALGORITHMS[spec.algorithm][0]
     inputs = spec.resolved_inputs()
-    n, d = inputs.shape
+    n = inputs.shape[0]
     adversary = spec.adversary or Adversary.none()
     honest = np.array(
         [inputs[p] for p in range(n) if not adversary.is_faulty(p)]
@@ -279,13 +310,8 @@ def _execute(spec: RunSpec) -> ConsensusOutcome:
         for pid, proc in enumerate(procs)
         if pid not in adversary.faulty
     ]
-    deltas = [delta for delta in used if delta is not None]
-    # Synchronous processes all derive δ from the same agreed vectors,
-    # so the first is taken; asynchronous ones each fold a running max.
-    delta_used = (max(deltas) if asynchronous else deltas[0]) if deltas else None
-    problem, tol = problem_for(spec, d, delta_used)
-    report = problem.check(
-        honest, decisions, terminated=result.completed, tol=tol
+    report, problem, tol, delta_used = check_run(
+        spec, honest, decisions, used, terminated=result.completed
     )
     return ConsensusOutcome(
         decisions, report, result, honest, problem, tol, delta_used

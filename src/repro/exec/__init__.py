@@ -34,7 +34,6 @@ from .grid import (
 )
 from .live_launch import (
     TOPOLOGY_SCHEMA,
-    build_process,
     build_topology,
     launch_local,
     load_topology,
@@ -54,7 +53,6 @@ __all__ = [
     "TrialSpec",
     "bench_grid",
     "build_adversary",
-    "build_process",
     "build_runspec",
     "build_topology",
     "compare_bench",

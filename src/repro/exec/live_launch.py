@@ -2,49 +2,50 @@
 
 The in-process :class:`~repro.system.transport.live.LiveTransport` runs a
 whole cluster on one event loop — good for tests, useless for demonstrating
-that the protocol stack really is transport-independent.  This module is
-the other half of ROADMAP item 1: every node is its **own OS process**
-(``python -m repro node``), finding its peers through a shared *topology
-file*, and a launcher (``python -m repro launch``) that spawns a local
-cluster and collects the decisions.
+that the protocol stack really is transport-independent.  This module
+runs every node as its **own OS process** (``python -m repro node``),
+finding its peers through a shared *topology file*, and a launcher
+(``python -m repro launch``) that spawns a local cluster and judges the
+decisions.
 
-Topology file (JSON, schema ``repro.transport.topology/1``)::
+A live cluster runs one :class:`~repro.core.runspec.RunSpec`, built and
+checked by the same code as a simulated run.  Topology file (JSON,
+schema ``repro.transport.topology/2``)::
 
     {
-      "schema": "repro.transport.topology/1",
+      "schema": "repro.transport.topology/2",
       "instance": "launch-averaging-tcp-n4-s0",
-      "algorithm": "averaging",      # any repro.core.ALGORITHMS entry
-      "n": 4, "d": 2, "f": 1,
-      "kind": "tcp",                 # or "uds"
-      "seed": 0,                     # master seed (inputs, ctx rngs, keys)
-      "broadcast": "eig",            # sync algorithms' primitive
-      "p": 2.0, "k": 1, "delta": 0.0, "epsilon": 0.05,
-      "mode": "optimal", "alpha": 0.5,
-      "rounds": 17,                  # resolved at build time (see below)
-      "input_scale": 3.0,
-      "max_rounds": 64, "max_steps": 2000000,
+      "spec": {"algorithm": "averaging", "n": 4, "d": 2, "f": 1,
+               "transport": "live-tcp", "seed": 0, "epsilon": 0.05,
+               ...},                 # every scalar RunSpec field
       "nodes": [{"id": 0, "kind": "tcp", "host": "127.0.0.1",
                  "port": 40001, "path": ""}, ...]
     }
 
-Everything a node needs is derived deterministically from the document:
+:func:`load_topology` rebuilds the spec with ``RunSpec(**doc["spec"])``,
+so the spec's own validation applies.  Each node then builds the whole
+cluster's processes with the runner's per-algorithm builder and keeps
+its own, ``procs[pid]``.  Everything else follows from the spec:
 
-* **Inputs** — ``default_rng(seed).normal(scale=input_scale, size=(n, d))``,
-  the exact :meth:`~repro.core.runspec.RunSpec.resolved_inputs` derivation,
-  so a live cluster computes on the same inputs a ``RunSpec`` with the same
+* **Inputs** — :meth:`~repro.core.runspec.RunSpec.resolved_inputs`, so a
+  live cluster computes on the inputs a simulated run with the same
   seed would.
-* **Signature keys** (``broadcast="dolev-strong"``) — every node builds
-  ``SignatureScheme(n, default_rng(seed))``; the scheme is deterministic in
-  the rng, so n separate processes derive identical key tables without any
+* **Signature keys** (``broadcast="dolev-strong"``) — the builder's
+  ``SignatureScheme(n, default_rng(seed))`` is deterministic in the
+  seed, so n separate processes derive identical key tables without any
   key-distribution step.
-* **Averaging round budget** — termination needs every node to run the
-  same number of rounds; the contraction-bound estimate depends only on
-  the (seed-derived) inputs, so it is resolved once at *build* time and
-  written into the document rather than recomputed per node.
+* **Round budgets** — the averaging contraction-bound estimate depends
+  only on the seed-derived inputs, so every node derives the same count.
 
-Live deployments execute **honest** runs only (the document has no
-adversary vocabulary); Byzantine behaviour needs the deterministic
-simulator (``transport="sim"``).
+The launcher judges the collected decisions with
+:func:`repro.core.runner.check_run`, the problem rule and
+``ProblemSpec.check`` every simulated run goes through: L_inf
+(ε-)agreement plus validity against the inputs.
+
+Live deployments execute **honest** runs only: a spec carrying an
+adversary, policy, topology, explicit inputs, probes or metrics is
+refused.  Byzantine behaviour needs the deterministic simulator
+(``transport="sim"``).
 
 TCP ports are allocated by binding port 0 and releasing the socket just
 before the node binds it again — racy in principle, fine in practice for
@@ -60,19 +61,21 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ..core.runspec import ALGORITHMS
+from ..core.runner import _ALGORITHMS, check_run
+from ..core.runspec import RunSpec
+from ..system.adversary import Adversary
 from ..system.transport.live import LiveNode, NodeAddress
 from .grid import min_trial_size
 
 __all__ = [
     "TOPOLOGY_SCHEMA",
     "allocate_addresses",
-    "build_process",
     "build_topology",
     "launch_local",
     "load_topology",
@@ -80,14 +83,11 @@ __all__ = [
     "write_topology",
 ]
 
-TOPOLOGY_SCHEMA = "repro.transport.topology/1"
+TOPOLOGY_SCHEMA = "repro.transport.topology/2"
 
-#: Document keys every topology file must carry (beyond the schema tag).
-_REQUIRED_KEYS = (
-    "instance", "algorithm", "n", "d", "f", "kind", "seed", "broadcast",
-    "p", "k", "delta", "epsilon", "mode", "alpha", "rounds", "input_scale",
-    "max_rounds", "max_steps", "nodes",
-)
+#: RunSpec fields with no place in a live cluster; the others are the
+#: scalar fields a topology document carries.
+_SIM_ONLY_FIELDS = ("inputs", "adversary", "topology", "policy", "probes", "metrics")
 
 
 # ---------------------------------------------------------------------------
@@ -95,94 +95,49 @@ _REQUIRED_KEYS = (
 # ---------------------------------------------------------------------------
 
 
-def _derived_inputs(doc: dict[str, Any]) -> np.ndarray:
-    """The cluster's input matrix — RunSpec.resolved_inputs, verbatim."""
-    rng = np.random.default_rng(int(doc["seed"]))
-    return rng.normal(
-        scale=float(doc["input_scale"]), size=(int(doc["n"]), int(doc["d"]))
-    )
+def _live_kind(spec: RunSpec) -> str:
+    """The socket kind of a live spec (``tcp``/``uds``); rejects any spec
+    a live cluster cannot run."""
+    if not spec.transport.startswith("live-"):
+        raise ValueError(
+            f"a live cluster needs transport live-tcp or live-uds, "
+            f"got {spec.transport!r}"
+        )
+    for name in _SIM_ONLY_FIELDS:
+        value = getattr(spec, name)
+        if value is not None and not (name == "probes" and value == ()):
+            raise ValueError(f"a live cluster spec cannot carry {name}")
+    assert spec.n is not None and spec.d is not None
+    floor = min_trial_size(spec.algorithm, spec.d, spec.f, spec.k)
+    if spec.n < floor:
+        raise ValueError(
+            f"{spec.algorithm} with d={spec.d}, f={spec.f} needs "
+            f"n >= {floor}, got {spec.n}"
+        )
+    return spec.transport[len("live-"):]
 
 
 def build_topology(
-    algorithm: str,
-    n: int,
-    d: int,
-    f: int,
-    nodes: list[NodeAddress],
-    *,
-    kind: str = "tcp",
-    seed: int = 0,
-    broadcast: str = "eig",
-    p: float = 2.0,
-    k: int = 1,
-    delta: float = 0.0,
-    epsilon: float = 5e-2,
-    mode: str = "optimal",
-    alpha: float = 0.5,
-    rounds: Optional[int] = None,
-    input_scale: float = 3.0,
-    max_rounds: int = 64,
-    max_steps: int = 2_000_000,
-    instance: Optional[str] = None,
+    spec: RunSpec, nodes: list[NodeAddress], instance: Optional[str] = None
 ) -> dict[str, Any]:
-    """Assemble (and validate) a topology document for one cluster."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choices {ALGORITHMS}"
-        )
-    if kind not in ("tcp", "uds"):
-        raise ValueError(f"unknown transport kind {kind!r} (tcp or uds)")
-    if algorithm == "scalar" and d != 1:
-        raise ValueError(f"scalar consensus requires d=1, got d={d}")
-    floor = min_trial_size(algorithm, d, f, k)
-    if n < floor:
-        raise ValueError(
-            f"{algorithm} with d={d}, f={f} needs n >= {floor}, got {n}"
-        )
-    if len(nodes) != n:
-        raise ValueError(f"need {n} node addresses, got {len(nodes)}")
-    if sorted(a.node_id for a in nodes) != list(range(n)):
-        raise ValueError("node ids must be exactly 0..n-1")
-    doc: dict[str, Any] = {
+    """Assemble (and validate) the topology document of one cluster."""
+    kind = _live_kind(spec)
+    assert spec.n is not None
+    if len(nodes) != spec.n:
+        raise ValueError(f"need {spec.n} node addresses, got {len(nodes)}")
+    if sorted(a.node_id for a in nodes) != list(range(spec.n)):
+        raise ValueError(f"node ids must be exactly 0..{spec.n - 1}")
+    return {
         "schema": TOPOLOGY_SCHEMA,
         "instance": instance
-        or f"launch-{algorithm}-{kind}-n{n}-s{seed}",
-        "algorithm": algorithm,
-        "n": int(n),
-        "d": int(d),
-        "f": int(f),
-        "kind": kind,
-        "seed": int(seed),
-        "broadcast": broadcast,
-        "p": float(p),
-        "k": int(k),
-        "delta": float(delta),
-        "epsilon": float(epsilon),
-        "mode": mode,
-        "alpha": float(alpha),
-        "rounds": rounds,
-        "input_scale": float(input_scale),
-        "max_rounds": int(max_rounds),
-        "max_steps": int(max_steps),
+        or f"launch-{spec.algorithm}-{kind}-n{spec.n}-s{spec.seed}",
+        "spec": {
+            fld.name: getattr(spec, fld.name)
+            for fld in fields(spec)
+            if fld.name not in _SIM_ONLY_FIELDS
+        },
         "nodes": [a.as_dict() for a in sorted(nodes, key=lambda a: a.node_id)],
     }
-    if doc["rounds"] is None:
-        if algorithm == "averaging":
-            # Same estimate the runner's averaging builder uses, resolved
-            # once here so every node terminates after the identical
-            # round count.
-            from ..core.averaging import rounds_for_epsilon
-
-            inputs = _derived_inputs(doc)
-            spread = float(np.max(inputs.max(axis=0) - inputs.min(axis=0)))
-            doc["rounds"] = rounds_for_epsilon(
-                3.0 * max(spread, float(epsilon)), n, f, float(epsilon)
-            )
-        elif algorithm == "iterative":
-            doc["rounds"] = 30
-    if algorithm == "iterative":
-        doc["max_rounds"] = int(doc["rounds"]) + 2
-    return doc
 
 
 def write_topology(path: str, doc: dict[str, Any]) -> None:
@@ -192,7 +147,7 @@ def write_topology(path: str, doc: dict[str, Any]) -> None:
 
 
 def load_topology(path: str) -> dict[str, Any]:
-    """Read and structurally validate a topology file."""
+    """Read and validate a topology file."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("schema") != TOPOLOGY_SCHEMA:
@@ -200,20 +155,14 @@ def load_topology(path: str) -> dict[str, Any]:
             f"{path!r} is not a {TOPOLOGY_SCHEMA} document "
             f"(schema={doc.get('schema') if isinstance(doc, dict) else None!r})"
         )
-    missing = [key for key in _REQUIRED_KEYS if key not in doc]
-    if missing:
-        raise ValueError(f"{path!r} is missing topology keys: {missing}")
-    if doc["algorithm"] not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {doc['algorithm']!r} in {path!r}")
-    n = int(doc["n"])
-    addresses = [NodeAddress.from_dict(entry) for entry in doc["nodes"]]
-    if sorted(a.node_id for a in addresses) != list(range(n)):
-        raise ValueError(f"{path!r}: node ids must be exactly 0..{n - 1}")
-    if doc["algorithm"] in ("averaging", "iterative") and doc["rounds"] is None:
-        raise ValueError(
-            f"{path!r}: {doc['algorithm']} topologies must carry a "
-            "resolved 'rounds' (build_topology resolves it)"
-        )
+    try:
+        spec = RunSpec(**doc["spec"])
+        nodes = [NodeAddress.from_dict(entry) for entry in doc["nodes"]]
+        build_topology(spec, nodes, doc["instance"])
+    except KeyError as exc:
+        raise ValueError(f"{path!r} is missing topology key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"{path!r} has a malformed spec: {exc}") from exc
     return doc
 
 
@@ -255,66 +204,23 @@ def allocate_addresses(
 # ---------------------------------------------------------------------------
 
 
-def build_process(doc: dict[str, Any], pid: int) -> Any:
-    """Materialise node ``pid``'s protocol process from the document.
-
-    Deterministic in the document alone: n separate OS processes calling
-    this with the same file agree on inputs, signature keys, and round
-    budgets without exchanging a byte.
-    """
-    algorithm = doc["algorithm"]
-    n, d, f = int(doc["n"]), int(doc["d"]), int(doc["f"])
-    if not 0 <= pid < n:
-        raise ValueError(f"pid {pid} outside 0..{n - 1}")
-    inputs = _derived_inputs(doc)
-    broadcast = str(doc["broadcast"])
-    scheme = None
-    if broadcast == "dolev-strong":
-        from ..system.crypto import SignatureScheme
-
-        # Deterministic in the seed: every node derives the same keys.
-        scheme = SignatureScheme(n, np.random.default_rng(int(doc["seed"])))
-    if algorithm == "exact":
-        from ..core.exact_bvc import ExactBVCProcess
-
-        return ExactBVCProcess(
-            n, f, pid, inputs[pid], broadcast=broadcast, scheme=scheme
-        )
-    if algorithm == "algo":
-        from ..core.algo_sync import AlgoProcess
-
-        return AlgoProcess(
-            n, f, pid, inputs[pid], p=doc["p"],
-            broadcast=broadcast, scheme=scheme,
-        )
-    if algorithm == "krelaxed":
-        from ..core.krelaxed import KRelaxedProcess
-
-        return KRelaxedProcess(
-            n, f, pid, inputs[pid], k=int(doc["k"]),
-            broadcast=broadcast, scheme=scheme,
-        )
-    if algorithm == "scalar":
-        from ..core.scalar import ScalarConsensusProcess
-
-        return ScalarConsensusProcess(
-            n, f, pid, inputs[pid], broadcast=broadcast, scheme=scheme
-        )
-    if algorithm == "iterative":
-        from ..core.iterative import IterativeBVCProcess
-        from ..system.topology import complete_topology
-
-        return IterativeBVCProcess(
-            n, f, pid, inputs[pid], topology=complete_topology(n),
-            num_rounds=int(doc["rounds"]), alpha=float(doc["alpha"]),
-        )
-    assert algorithm == "averaging"
-    from ..core.averaging import VerifiedAveragingProcess
-
-    return VerifiedAveragingProcess(
-        n, f, pid, inputs[pid], num_rounds=int(doc["rounds"]),
-        mode=str(doc["mode"]), delta=float(doc["delta"]), p=doc["p"],
+def _node_process(spec: RunSpec, pid: int) -> tuple[Any, dict[str, int]]:
+    """Node ``pid``'s process and scheduler caps: ``procs[pid]`` and the
+    caps of the runner's builder for ``spec``, run with the runner's rng
+    (so the Dolev–Strong keys match a simulated run's)."""
+    assert spec.n is not None
+    if not 0 <= pid < spec.n:
+        raise ValueError(f"pid {pid} outside 0..{spec.n - 1}")
+    build = _ALGORITHMS[spec.algorithm][0]
+    procs, schedule = build(
+        spec, spec.resolved_inputs(), Adversary.none(),
+        np.random.default_rng(spec.seed),
     )
+    caps = {
+        key: schedule[key] for key in ("max_rounds", "max_steps")
+        if key in schedule
+    }
+    return procs[pid], caps
 
 
 def run_node(
@@ -328,6 +234,11 @@ def run_node(
 ) -> dict[str, Any]:
     """Run one cluster node to completion; returns its decision record.
 
+    The node's process is ``procs[pid]`` of the runner's builder for the
+    document's spec — deterministic in the spec alone, so n separate OS
+    processes agree on inputs, signature keys and round budgets without
+    exchanging a byte.
+
     ``metrics_port`` serves live Prometheus text at ``/metrics`` for the
     whole run (plus ``linger`` extra seconds afterwards, so a scraper can
     still reach a node whose run finished first).  ``emit`` is called
@@ -336,8 +247,8 @@ def run_node(
 
     ``trace_path`` exports the node's trail as JSONL *with causal
     tracing on*: a per-process :class:`~repro.obs.causal.CausalCollector`
-    stamps every send/deliver (the stamps ride the version-2 wire frames
-    to peers), and the trail carries ``transport.node.topology`` /
+    stamps every send/deliver (the stamps ride the MSG frames to peers),
+    and the trail carries ``transport.node.topology`` (with the spec) /
     ``transport.node.decision`` events so a directory of trails is
     self-contained input for :mod:`repro.obs.fleet` stitching and
     post-hoc probes.
@@ -349,15 +260,17 @@ def run_node(
     from ..obs.prom import serve_metrics
     from ..obs.tracer import Tracer, use_tracer
 
+    spec = RunSpec(**doc["spec"])
+    assert spec.n is not None
     addresses = {
         int(entry["id"]): NodeAddress.from_dict(entry)
         for entry in doc["nodes"]
     }
-    process = build_process(doc, pid)
+    process, caps = _node_process(spec, pid)
+    instance = str(doc["instance"])
     node = LiveNode(
-        pid, int(doc["n"]), int(doc["f"]), process, addresses[pid],
-        instance=str(doc["instance"]), seed=int(doc["seed"]),
-        max_rounds=int(doc["max_rounds"]), max_steps=int(doc["max_steps"]),
+        pid, spec.n, spec.f, process, addresses[pid],
+        instance=instance, seed=spec.seed, **caps,
     )
 
     server = None
@@ -381,35 +294,27 @@ def run_node(
             await node.shutdown()
 
     tracer = Tracer(level="info")
-    collector = CausalCollector(int(doc["n"])) if trace_path else None
+    collector = CausalCollector(spec.n) if trace_path else None
     tracer.event(
         "transport.node.topology",
-        pid=pid, instance=doc["instance"], algorithm=doc["algorithm"],
-        n=int(doc["n"]), d=int(doc["d"]), f=int(doc["f"]),
-        seed=int(doc["seed"]), input_scale=float(doc["input_scale"]),
-        epsilon=float(doc["epsilon"]), p=doc["p"], k=int(doc["k"]),
-        delta=float(doc["delta"]), kind=doc["kind"],
+        pid=pid, instance=instance, spec=doc["spec"],
     )
     try:
         with use_tracer(tracer), use_causal_collector(collector):
-            with tracer.span(
-                "transport.node", pid=pid, instance=doc["instance"]
-            ):
+            with tracer.span("transport.node", pid=pid, instance=instance):
                 result = asyncio.run(drive())
     finally:
-        record = _node_record(doc, pid, node)
+        record = _node_record(spec, instance, pid, node)
         if trace_path:
-            decision = record["decision"]
-            delta_used = getattr(node.process, "delta_used", None)
             tracer.event(
                 "transport.node.decision",
-                pid=pid, decided=record["decided"], decision=decision,
-                rounds=record["rounds"], completed=record["completed"],
-                delta_used=None if delta_used is None else float(delta_used),
+                pid=pid, decided=record["decided"],
+                decision=record["decision"], rounds=record["rounds"],
+                completed=record["completed"],
+                delta_used=record["delta_used"],
             )
             write_jsonl(trace_path, tracer, node._result().metrics,
-                        collector=collector,
-                        run_id=f"{doc['instance']}-n{pid}")
+                        collector=collector, run_id=f"{instance}-n{pid}")
         if emit is not None:
             emit(record)
         if server is not None and linger > 0:
@@ -420,7 +325,9 @@ def run_node(
     return record
 
 
-def _node_record(doc: dict[str, Any], pid: int, node: LiveNode) -> dict[str, Any]:
+def _node_record(
+    spec: RunSpec, instance: str, pid: int, node: LiveNode
+) -> dict[str, Any]:
     """The one-line JSON decision record ``repro node`` prints."""
     decided = node.ctx.decided
     decision = node.ctx.decision
@@ -428,6 +335,7 @@ def _node_record(doc: dict[str, Any], pid: int, node: LiveNode) -> dict[str, Any
         decision = decision.tolist()
     elif isinstance(decision, tuple):
         decision = list(decision)
+    delta_used = getattr(node.process, "delta_used", None)
     live = {
         name: int(metric["value"])
         for name, metric in node._result().metrics.snapshot().items()
@@ -435,11 +343,12 @@ def _node_record(doc: dict[str, Any], pid: int, node: LiveNode) -> dict[str, Any
     }
     return {
         "schema": "repro.transport.decision/1",
-        "instance": doc["instance"],
-        "algorithm": doc["algorithm"],
+        "instance": instance,
+        "algorithm": spec.algorithm,
         "node": pid,
         "decided": bool(decided),
         "decision": decision if decided else None,
+        "delta_used": None if delta_used is None else float(delta_used),
         "rounds": int(node.rounds_done),
         "completed": bool(node.completed),
         "messages_sent": int(node.stats.messages_sent),
@@ -453,31 +362,46 @@ def _node_record(doc: dict[str, Any], pid: int, node: LiveNode) -> dict[str, Any
 # ---------------------------------------------------------------------------
 
 
-def _spread(decisions: list[np.ndarray]) -> float:
-    """Largest pairwise Euclidean distance between decisions."""
-    worst = 0.0
-    for i in range(len(decisions)):
-        for j in range(i + 1, len(decisions)):
-            worst = max(
-                worst, float(np.linalg.norm(decisions[i] - decisions[j]))
-            )
-    return worst
+def _judge_records(
+    spec: RunSpec, records: list[Optional[dict[str, Any]]], errors: list[str]
+) -> dict[str, Any]:
+    """The launch verdict over the nodes' decision records.
+
+    Live runs are honest, so every input is a correct input and every
+    node a correct process; :func:`~repro.core.runner.check_run` judges
+    the decisions exactly as it judges a simulated run.
+    """
+    good = [r for r in records if r is not None]
+    decided = [r for r in good if r.get("decided")]
+    decisions = {
+        int(r["node"]): np.atleast_1d(np.asarray(r["decision"], dtype=float))
+        for r in decided
+    }
+    terminated = (
+        not errors
+        and len(decided) == spec.n
+        and all(r.get("completed") for r in good)
+    )
+    report, problem, _, delta_used = check_run(
+        spec, spec.resolved_inputs(), decisions,
+        [r.get("delta_used") for r in good], terminated=terminated,
+    )
+    return {
+        "ok": report.ok,
+        "decided_nodes": len(decided),
+        "agreement_ok": report.agreement_ok,
+        "validity_ok": report.validity_ok,
+        "termination_ok": report.termination_ok,
+        "agreement_spread": report.agreement_diameter,
+        "agreement_tolerance": problem.agreement_tolerance,
+        "violations": {str(pid): v for pid, v in report.violations.items()},
+        "delta_used": delta_used,
+    }
 
 
 def launch_local(
-    algorithm: str,
-    n: int,
-    d: int,
-    f: int,
+    spec: RunSpec,
     *,
-    kind: str = "tcp",
-    seed: int = 0,
-    broadcast: str = "eig",
-    p: float = 2.0,
-    k: int = 1,
-    epsilon: float = 5e-2,
-    rounds: Optional[int] = None,
-    mode: str = "optimal",
     workdir: Optional[str] = None,
     timeout: float = 120.0,
     metrics_port: Optional[int] = None,
@@ -485,13 +409,14 @@ def launch_local(
     trace_dir: Optional[str] = None,
     python: str = sys.executable,
 ) -> dict[str, Any]:
-    """Spawn an ``n``-subprocess cluster; collect and judge the decisions.
+    """Spawn an ``spec.n``-subprocess cluster; collect and judge the
+    decisions.
 
     Returns a launch report.  ``ok`` holds when every node decided and
-    completed, the decisions agree — bitwise (to solver tolerance) for
-    the exact algorithms, within ``epsilon`` for the approximate ones —
-    and, when trails were collected, the stitched fleet evidence is
-    complete and every post-hoc probe is clean.
+    completed, :func:`~repro.core.runner.check_run` accepts the
+    decisions (agreement and validity under the algorithm's problem
+    spec), and, when trails were collected, the stitched fleet evidence
+    is complete and every post-hoc probe is clean.
 
     ``metrics_port`` is a *base* port: node ``pid`` serves ``/metrics``
     on ``metrics_port + pid`` (every node, not just node 0), and the
@@ -500,16 +425,19 @@ def launch_local(
     JSONL trail per node and folds a ``fleet`` block (stitch report +
     probe verdicts) into the launch report.
     """
+    kind = _live_kind(spec)
+    assert spec.n is not None
+    n = spec.n
+    # A spec the builder refuses (say, a broadcast the algorithm lacks)
+    # fails here, once, instead of in n node processes.
+    _node_process(spec, 0)
     owned_tmp: Optional[tempfile.TemporaryDirectory] = None
     if workdir is None:
         owned_tmp = tempfile.TemporaryDirectory(prefix="repro-launch-")
         workdir = owned_tmp.name
     try:
-        addresses = allocate_addresses(n, kind, base_dir=workdir)
         doc = build_topology(
-            algorithm, n, d, f, addresses, kind=kind, seed=seed,
-            broadcast=broadcast, p=p, k=k, epsilon=epsilon, rounds=rounds,
-            mode=mode,
+            spec, allocate_addresses(n, kind, base_dir=workdir)
         )
         topology_path = os.path.join(workdir, "topology.json")
         write_topology(topology_path, doc)
@@ -571,36 +499,20 @@ def launch_local(
                 if proc.poll() is None:
                     proc.wait()
 
-        good = [r for r in records if r is not None]
-        decided = [r for r in good if r.get("decided")]
-        decisions = [
-            np.atleast_1d(np.asarray(r["decision"], dtype=float))
-            for r in decided
-        ]
-        spread = _spread(decisions) if len(decisions) >= 2 else 0.0
-        exactish = algorithm in ("exact", "algo", "krelaxed", "scalar")
-        tolerance = 1e-9 if exactish else float(epsilon)
+        verdict = _judge_records(spec, records, errors)
         fleet_block = _fleet_block(trace_dir) if trace_dir else None
-        ok = (
-            not errors
-            and len(decided) == n
-            and all(r.get("completed") for r in good)
-            and spread <= tolerance
-            and (fleet_block is None or fleet_block.get("ok", False))
-        )
+        if fleet_block is not None and not fleet_block.get("ok", False):
+            verdict["ok"] = False
         return {
             "schema": "repro.transport.launch-report/1",
             "instance": doc["instance"],
-            "algorithm": algorithm,
+            "algorithm": spec.algorithm,
             "kind": kind,
             "n": n,
-            "d": d,
-            "f": f,
-            "seed": seed,
-            "ok": bool(ok),
-            "decided_nodes": len(decided),
-            "agreement_spread": spread,
-            "agreement_tolerance": tolerance,
+            "d": spec.d,
+            "f": spec.f,
+            "seed": spec.seed,
+            **verdict,
             "errors": errors,
             "metrics_addresses": metrics_addresses,
             "fleet": fleet_block,

@@ -37,17 +37,17 @@ agreement-convergence via :meth:`~repro.obs.probes.Probe.check_decisions`
 on the decision vectors each node logged, and broadcast integrity as a
 structural equivocation check over the merged graph (two sends of one
 ``(pid, tag, round)`` instance to different receivers must carry the
-same payload digest).  Honest inputs are re-derived from the topology
-parameters each node logs — the same ``default_rng(seed)`` derivation
-the cluster itself used — so a trail directory is self-contained
-evidence: no RunSpec, no repo state, just the files.
+same payload digest).  Honest inputs are re-derived from the run spec
+each node logs in its topology event (``RunSpec.resolved_inputs``, the
+derivation the cluster itself used), so a trail directory is
+self-contained evidence: no repo state, just the files.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +55,9 @@ from ..analysis.timeline import CausalGraph
 from .export import read_jsonl
 from .metrics import Histogram
 from .probes import ProbeReport, build_probes
+
+if TYPE_CHECKING:
+    from ..core.runspec import RunSpec
 
 __all__ = [
     "FLEET_PROBE_NAMES",
@@ -278,12 +281,20 @@ def _wall_skew(trails: Sequence[NodeTrail]) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
-def _topology_params(trails: Sequence[NodeTrail]) -> dict[str, Any]:
-    """The cluster parameters, from any trail's topology event."""
+def _topology_spec(trails: Sequence[NodeTrail]) -> RunSpec:
+    """The cluster's run spec, from any trail's topology event."""
+    from ..core.runspec import RunSpec
+
     for trail in trails:
         fields = trail.event_fields("transport.node.topology")
         if fields:
-            return fields
+            try:
+                return RunSpec(**fields["spec"])
+            except (KeyError, TypeError) as exc:
+                raise ValueError(
+                    f"trail {trail.path!r} has no valid run spec in its "
+                    f"topology event: {exc!r}"
+                ) from exc
     raise ValueError(
         "no trail carries a transport.node.topology event — trails "
         "predate fleet tracing, or tracing was off"
@@ -299,16 +310,6 @@ def _decisions(trails: Sequence[NodeTrail]) -> dict[int, np.ndarray]:
                 np.asarray(fields["decision"], dtype=float)
             )
     return out
-
-
-def _honest_inputs(params: Mapping[str, Any]) -> np.ndarray:
-    """Re-derive the cluster's inputs — live runs are honest, so *all*
-    inputs are honest inputs (`RunSpec.resolved_inputs`, verbatim)."""
-    rng = np.random.default_rng(int(params["seed"]))
-    return rng.normal(
-        scale=float(params["input_scale"]),
-        size=(int(params["n"]), int(params["d"])),
-    )
 
 
 def _max_delta_used(trails: Sequence[NodeTrail]) -> float:
@@ -379,14 +380,16 @@ def fleet_probes(
     from ..core.problems import check_headroom
     from ..dst.explore import apply_injection
 
-    params = _topology_params(trails)
-    algorithm = str(params["algorithm"])
+    spec = _topology_spec(trails)
+    assert spec.d is not None
+    algorithm = spec.algorithm
     decisions = _decisions(trails)
     if inject is not None:
         decisions = apply_injection(
-            inject, decisions, float(params["input_scale"]), int(params["d"])
+            inject, decisions, spec.input_scale, spec.d
         )
-    honest = _honest_inputs(params)
+    # Live runs are honest, so *all* inputs are honest inputs.
+    honest = spec.resolved_inputs()
 
     approximate = algorithm in ("averaging", "iterative")
     # check_decisions applies an explicit delta verbatim, so grant the
@@ -395,9 +398,9 @@ def fleet_probes(
     probes = build_probes(
         names,
         algorithm=algorithm,
-        p=params.get("p", 2),
-        k=int(params.get("k", 1)),
-        epsilon=float(params["epsilon"]) if approximate else None,
+        p=spec.p,
+        k=spec.k,
+        epsilon=spec.epsilon if approximate else None,
         delta=None if algorithm == "krelaxed" else delta,
     )
     for probe in probes:
@@ -408,13 +411,13 @@ def fleet_probes(
             probe.check_decisions(decisions, honest)
     context = {
         "algorithm": algorithm,
-        "n": int(params["n"]),
-        "d": int(params["d"]),
-        "f": int(params["f"]),
-        "seed": int(params["seed"]),
+        "n": spec.n,
+        "d": spec.d,
+        "f": spec.f,
+        "seed": spec.seed,
         "decided_nodes": sorted(decisions),
         "delta": delta,
-        "epsilon": float(params["epsilon"]) if approximate else None,
+        "epsilon": spec.epsilon if approximate else None,
         "inject": inject,
     }
     return [probe.report() for probe in probes], context

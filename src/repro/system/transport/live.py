@@ -31,7 +31,7 @@ plus a send-queue wait histogram and depth-peak gauge.
 
 When a :class:`~repro.obs.causal.CausalCollector` is installed
 (ambient, per process), every node stamps its sends and deliveries: the
-send event's ``(eid, lamport, clock)`` rides on the version-2 MSG frame
+send event's ``(eid, lamport, clock)`` rides on the MSG frame
 and the receiver merges it via ``on_deliver_remote``, so N per-node
 trails stitch into one cross-process happens-before graph
 (:mod:`repro.obs.fleet`).  With the default null collector all of this
@@ -43,7 +43,6 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import os
-import struct
 import tempfile
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
@@ -186,7 +185,7 @@ class LiveNode:
         # Message buffers hold (Message, meta) pairs where meta describes
         # the delivery's causal provenance: ("local", send_eid) for
         # self-deliveries, ("remote", (origin_eid, lamport, clock)) for
-        # stamped frames, None for unstamped (v1) frames or tracing off.
+        # stamped frames, None for unstamped frames (tracing off).
         self._cond: asyncio.Condition = asyncio.Condition()
         self._last_seq: dict[int, int] = {}
         self._pending_msgs: dict[int, list[tuple[Message, Any]]] = {}
@@ -257,14 +256,7 @@ class LiveNode:
         if task is not None:
             self._serve_tasks.append(task)
         try:
-            head = await reader.readexactly(4)
-            (length,) = struct.unpack("!I", head)
-            if length > wire.MAX_FRAME_BYTES:
-                raise wire.WireError("oversized HELLO")
-            hello = wire.decode_body(await reader.readexactly(length))
-            if hello[0] != wire.HELLO:
-                raise wire.WireError(f"expected HELLO, got {hello[0]!r}")
-            peer_id = wire.check_hello(hello, instance=self.instance)
+            peer_id = await wire.read_hello(reader, instance=self.instance)
             writer.write(wire.encode_hello(self.node_id, self.instance))
             await writer.drain()
         except (wire.WireError, ConnectionError, OSError, EOFError):
@@ -281,7 +273,7 @@ class LiveNode:
 
     async def _on_record(self, peer_id: int, record: tuple) -> None:
         self.wire_frames_received += 1
-        seq = int(record[1])
+        seq = record[1]
         if seq <= self._last_seq.get(peer_id, -1):
             self.dupes_dropped += 1  # retransmit after reconnect
             return
@@ -298,10 +290,10 @@ class LiveNode:
         elif kind == wire.ROUND:
             _, _, round_, decided = record
             async with self._cond:
-                bucket = self._round_msgs.setdefault(int(round_), {})
+                bucket = self._round_msgs.setdefault(round_, {})
                 bucket[peer_id] = self._pending_msgs.pop(peer_id, [])
-                self._peer_round[peer_id] = int(round_)
-                if bool(decided):
+                self._peer_round[peer_id] = round_
+                if decided:
                     self._peer_decided[peer_id] = True
                 self._cond.notify_all()
         elif kind == wire.DECIDED:
@@ -432,7 +424,7 @@ class LiveNode:
         if not collector.enabled:
             return
         if meta is None:
-            # Unstamped frame (v1 peer, or sender traced nothing): keep
+            # Unstamped frame (the sender traced nothing): keep
             # program order faithful with a cause-less deliver event.
             collector.on_deliver(self.node_id, None, time=time_)
         elif meta[0] == "local":

@@ -5,11 +5,9 @@ owns a bounded send queue and a writer task:
 
 * **Handshake** — on every (re)connect the dialer sends its HELLO
   (node id, wire version, instance id) and waits for the listener's
-  HELLO back; the connection then runs at the *negotiated* wire version
-  (newest both sides speak — :func:`repro.system.transport.wire.negotiate`),
-  so a version-1 peer still interoperates, it just never sees causal
-  stamps.  An unsupported version or wrong instance permanently fails
-  the link (such a peer will never become right).
+  HELLO back.  A malformed HELLO, another wire version, or a wrong
+  instance or identity permanently fails the link (such a peer will
+  never become right).
 * **Reconnect** — connection refusal or loss triggers capped exponential
   backoff (``delay = min(base * 2**attempt, cap)``); the attempt counter
   resets after a successful handshake.  The frame being written when the
@@ -22,9 +20,8 @@ owns a bounded send queue and a writer task:
   protocol loop instead of buffering without bound.
 
 The queue holds *records* (plain tuples), not encoded bytes: encoding
-happens at write time, once the connection's negotiated version is
-known.  Payload safety is unchanged — record builders defensively copy
-payloads at enqueue time.
+happens at write time.  Payload safety is unchanged — record builders
+defensively copy payloads at enqueue time.
 
 Timings use the event loop's monotonic clock only (never the wall
 clock), and the backoff schedule is a fixed deterministic ramp — links
@@ -41,7 +38,6 @@ from enqueue to first write attempt — exported as the
 from __future__ import annotations
 
 import asyncio
-import struct
 from typing import Any, Awaitable, Callable, Optional
 
 from ...obs.metrics import Histogram
@@ -126,9 +122,6 @@ class PeerLink:
         #: tests (and the disconnect-survival acceptance run) flip on.
         self.chaos_close_after = chaos_close_after
         self.stats = LinkStats()
-        #: The version this connection runs at, set by each handshake
-        #: (stays at our newest until a peer negotiates it down).
-        self.wire_version = wire.WIRE_VERSION
         self._queue: asyncio.Queue[Optional[tuple[tuple, float]]] = (
             asyncio.Queue(maxsize=self.queue_limit)
         )
@@ -190,8 +183,7 @@ class PeerLink:
         return seq
 
     async def send_message(self, msg: Any, stamp: Optional[tuple] = None) -> None:
-        """Queue one protocol message, optionally with its causal stamp
-        (dropped automatically on connections negotiated down to v1)."""
+        """Queue one protocol message, optionally with its causal stamp."""
         await self._put(wire.message_record(msg, self.next_seq(), stamp))
 
     async def send_round(self, round: int, decided: bool) -> None:
@@ -241,7 +233,7 @@ class PeerLink:
             except (wire.WireError, ConnectionError, OSError, EOFError) as exc:
                 writer.close()
                 if isinstance(exc, wire.WireError):
-                    self._failure = exc  # wrong version/instance: permanent
+                    self._failure = exc  # bad HELLO/version/instance: permanent
                     return
                 attempt += 1
                 if attempt > self.max_dial_failures:
@@ -289,7 +281,7 @@ class PeerLink:
                         self.stats.chaos_closes += 1
                         writer.close()
                         raise ConnectionResetError("chaos: forced close")
-                    frame = wire.encode_for_version(pending, self.wire_version)
+                    frame = wire.encode_record(pending)
                     writer.write(frame)
                     await writer.drain()
                     self.stats.frames_sent += 1
@@ -339,17 +331,9 @@ class PeerLink:
     async def _handshake(self, reader: Any, writer: Any) -> None:
         writer.write(wire.encode_hello(self.self_id, self.instance))
         await writer.drain()
-        head = await reader.readexactly(4)
-        (length,) = struct.unpack("!I", head)
-        if length > wire.MAX_FRAME_BYTES:
-            raise wire.WireError(f"oversized HELLO frame ({length} bytes)")
-        record = wire.decode_body(await reader.readexactly(length))
-        if record[0] != wire.HELLO:
-            raise wire.WireError(f"expected HELLO, got {record[0]!r}")
-        wire.check_hello(
-            record, instance=self.instance, expected_id=self.peer_id
+        await wire.read_hello(
+            reader, instance=self.instance, expected_id=self.peer_id
         )
-        self.wire_version = wire.negotiate(wire.hello_version(record))
 
     def _backoff(self, attempt: int) -> float:
         return min(self.backoff_base * (2.0 ** (attempt - 1)), self.backoff_cap)

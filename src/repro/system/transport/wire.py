@@ -1,4 +1,4 @@
-"""Length-prefixed, versioned wire protocol for live transports.
+"""Length-prefixed wire protocol for live transports.
 
 Frame layout (everything big-endian)::
 
@@ -10,16 +10,11 @@ The body is one *record* — a plain tuple whose first element is the
 record type:
 
 ``HELLO``
-    ``(HELLO, node_id, wire_version, instance_id)`` — exchanged once per
-    connection, both directions, before anything else.  The version is
-    *negotiated*: each side advertises the newest version it speaks and
-    the connection runs at ``min`` of the two (:func:`negotiate`), so a
-    version-1 peer can still talk to a version-2 node.  A version
-    outside :data:`SUPPORTED_VERSIONS` — or an instance mismatch —
-    aborts the connection (:class:`WireError`).
+    ``(HELLO, node_id, version, instance_id)`` — exchanged once per
+    connection, both directions, before anything else.  A version other
+    than :data:`WIRE_VERSION` — or an instance mismatch — aborts the
+    connection (:class:`WireError`).
 ``MSG``
-    version 1: ``(MSG, link_seq, src, dst, tag, payload, round)``;
-    version 2 appends a *causal stamp*:
     ``(MSG, link_seq, src, dst, tag, payload, round, stamp)`` where
     ``stamp`` is ``(origin_eid, lamport, clock)`` — the sender-local
     event id, Lamport timestamp, and vector clock of the send event —
@@ -32,6 +27,9 @@ record type:
     this link (per-link FIFO makes the marker a happens-after fence).
 ``DECIDED``
     ``(DECIDED, link_seq, node_id)`` — asynchronous termination marker.
+
+:func:`decode_body` checks every field's type, so a malformed record is
+a :class:`WireError` at the decoder and never an exception further in.
 
 Payloads go through :func:`repro.system.messages.defensive_copy` before
 encoding so a sender mutating a queued object can never corrupt an
@@ -54,33 +52,25 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "MSG",
     "ROUND",
-    "SUPPORTED_VERSIONS",
     "WIRE_VERSION",
     "WireError",
     "check_hello",
     "decode_body",
     "decode_message",
     "encode_decided",
-    "encode_for_version",
     "encode_hello",
     "encode_message",
     "encode_record",
     "encode_round",
-    "frame",
-    "hello_version",
     "is_atomic",
     "message_record",
     "message_stamp",
-    "negotiate",
     "read_frames",
+    "read_hello",
 ]
 
-#: Newest protocol version this build speaks; advertised in every HELLO.
+#: The protocol version; advertised in every HELLO and required of peers.
 WIRE_VERSION = 2
-
-#: Every version this build can *run* a connection at.  Version 1 frames
-#: carry no causal stamp; version 2 MSG records append one.
-SUPPORTED_VERSIONS = (1, 2)
 
 #: Upper bound on one frame body — a corrupt length prefix must not make
 #: the receiver allocate gigabytes.
@@ -92,8 +82,6 @@ HELLO = "hello"
 MSG = "msg"
 ROUND = "round"
 DECIDED = "decided"
-
-_RECORD_TYPES = frozenset({HELLO, MSG, ROUND, DECIDED})
 
 
 class WireError(ValueError):
@@ -114,20 +102,22 @@ def encode_record(record: tuple) -> bytes:
     return _LEN.pack(len(body)) + body
 
 
-def encode_hello(node_id: int, instance: str, version: int = WIRE_VERSION) -> bytes:
-    return encode_record((HELLO, int(node_id), int(version), str(instance)))
+def encode_hello(node_id: int, instance: str) -> bytes:
+    return encode_record((HELLO, int(node_id), WIRE_VERSION, str(instance)))
 
 
 def message_record(
     msg: Message, link_seq: int, stamp: Optional[tuple] = None
 ) -> tuple:
-    """The (version-2) MSG record for one protocol message.
+    """The MSG record for one protocol message.
 
     The payload is defensively copied *here*, at enqueue time, so a
     sender mutating a queued object can never corrupt the frame a link
-    encodes later (links encode at write time, once the connection's
-    negotiated version is known).
+    encodes later.  Stamp coordinates are normalised to plain ints.
     """
+    if stamp is not None:
+        origin_eid, lamport, clock = stamp
+        stamp = (int(origin_eid), int(lamport), tuple(int(c) for c in clock))
     return (
         MSG,
         int(link_seq),
@@ -141,13 +131,10 @@ def message_record(
 
 
 def encode_message(
-    msg: Message,
-    link_seq: int,
-    stamp: Optional[tuple] = None,
-    version: int = WIRE_VERSION,
+    msg: Message, link_seq: int, stamp: Optional[tuple] = None
 ) -> bytes:
     """Encode one protocol message; the payload is defensively copied."""
-    return encode_for_version(message_record(msg, link_seq, stamp), version)
+    return encode_record(message_record(msg, link_seq, stamp))
 
 
 def encode_round(link_seq: int, round: int, decided: bool) -> bytes:
@@ -158,27 +145,47 @@ def encode_decided(link_seq: int, node_id: int) -> bytes:
     return encode_record((DECIDED, int(link_seq), int(node_id)))
 
 
-def encode_for_version(record: tuple, version: int) -> bytes:
-    """Encode a record at a negotiated wire version.
+def encode_for_version(record: tuple) -> bytes:
+    """The same as :func:`encode_record`.
 
-    Only MSG records differ across versions: version 1 strips the causal
-    stamp (a v1 peer would reject the 8-tuple as malformed).
+    Nothing in the package calls this; it stays only while the
+    per-layer tracer in ``perfbench/tracing.py`` wraps it by name.
     """
-    if record[0] == MSG and int(version) < 2 and len(record) == 8:
-        record = record[:7]
     return encode_record(record)
-
-
-def frame(body: bytes) -> bytes:
-    """Attach the length prefix to an already-pickled body (tests)."""
-    return _LEN.pack(len(body)) + body
 
 
 # --------------------------------------------------------------- decoding
 
 
+_NONE = type(None)
+
+#: Field types of each record type, in order after the type tag.
+_FIELDS: dict[str, tuple[Any, ...]] = {
+    HELLO: (int, int, str),  # node_id, version, instance
+    # link_seq, src, dst, tag, payload, round, stamp
+    MSG: (int, int, int, str, object, (int, _NONE), (tuple, _NONE)),
+    ROUND: (int, int, bool),  # link_seq, round, decided
+    DECIDED: (int, int),  # link_seq, node_id
+}
+
+
+def _is_stamp(stamp: Optional[tuple]) -> bool:
+    """``None`` or ``(origin_eid, lamport, clock)`` of ints."""
+    return stamp is None or (
+        len(stamp) == 3
+        and isinstance(stamp[0], int)
+        and isinstance(stamp[1], int)
+        and isinstance(stamp[2], tuple)
+        and all(isinstance(c, int) for c in stamp[2])
+    )
+
+
 def decode_body(body: bytes) -> tuple:
-    """Unpickle and structurally validate one frame body."""
+    """Unpickle one frame body and check every field of the record.
+
+    Total over its input: anything but a well-typed record raises
+    :class:`WireError`.
+    """
     try:
         record = pickle.loads(body)
     except Exception as exc:
@@ -186,45 +193,29 @@ def decode_body(body: bytes) -> tuple:
     if not isinstance(record, tuple) or not record:
         raise WireError(f"frame body is not a record tuple: {record!r}")
     kind = record[0]
-    if kind not in _RECORD_TYPES:
+    if not isinstance(kind, str) or kind not in _FIELDS:
         raise WireError(f"unknown record type {kind!r}")
-    if kind == HELLO and len(record) != 4:
-        raise WireError(f"malformed HELLO record: {record!r}")
-    if kind == MSG and len(record) not in (7, 8):
-        # 7 = version-1 frame (no stamp), 8 = version-2 frame.
-        raise WireError(f"malformed MSG record: {record!r}")
-    if kind == ROUND and len(record) != 4:
-        raise WireError(f"malformed ROUND record: {record!r}")
-    if kind == DECIDED and len(record) != 3:
-        raise WireError(f"malformed DECIDED record: {record!r}")
+    types = _FIELDS[kind]
+    if (
+        len(record) != len(types) + 1
+        or not all(isinstance(v, t) for v, t in zip(record[1:], types))
+        or (kind == MSG and not _is_stamp(record[7]))
+    ):
+        raise WireError(f"malformed {kind.upper()} record: {record!r}")
     return record
 
 
 def decode_message(record: tuple) -> tuple[int, Message]:
-    """``(link_seq, Message)`` from a decoded MSG record (either version)."""
-    _, link_seq, src, dst, tag, payload, round_ = record[:7]
-    return int(link_seq), Message(
-        int(src), int(dst), str(tag), payload, round=round_
-    )
+    """``(link_seq, Message)`` from a decoded MSG record."""
+    _, link_seq, src, dst, tag, payload, round_, _ = record
+    return link_seq, Message(src, dst, tag, payload, round=round_)
 
 
 def message_stamp(record: tuple) -> Optional[tuple]:
     """The ``(origin_eid, lamport, clock)`` causal stamp of a decoded MSG
-    record — None for version-1 frames and unstamped version-2 frames."""
-    if len(record) < 8 or record[7] is None:
-        return None
-    origin_eid, lamport, clock = record[7]
-    return int(origin_eid), int(lamport), tuple(int(c) for c in clock)
-
-
-def hello_version(record: tuple) -> int:
-    """The wire version a decoded HELLO advertises."""
-    return int(record[2])
-
-
-def negotiate(peer_version: int) -> int:
-    """The version a connection runs at: newest both sides speak."""
-    return min(WIRE_VERSION, int(peer_version))
+    record — None for unstamped frames."""
+    stamp: Optional[tuple] = record[7]
+    return stamp
 
 
 def check_hello(
@@ -235,24 +226,23 @@ def check_hello(
 ) -> int:
     """Validate a decoded HELLO; returns the peer's node id.
 
-    A peer may advertise any member of :data:`SUPPORTED_VERSIONS` (the
-    connection then runs at :func:`negotiate` of the two).  Raises
-    :class:`WireError` on an unsupported version, instance mismatch, or
-    (when ``expected_id`` is given) an unexpected peer identity — the
-    connection must be dropped in every case.
+    Raises :class:`WireError` on a version other than
+    :data:`WIRE_VERSION`, an instance mismatch, or (when ``expected_id``
+    is given) an unexpected peer identity — the connection must be
+    dropped in every case.
     """
     _, node_id, version, peer_instance = record
-    if int(version) not in SUPPORTED_VERSIONS:
+    if version != WIRE_VERSION:
         raise WireError(
             f"wire version mismatch: peer speaks {version}, "
-            f"we speak {SUPPORTED_VERSIONS}"
+            f"we speak {WIRE_VERSION}"
         )
-    if str(peer_instance) != instance:
+    if peer_instance != instance:
         raise WireError(
             f"instance mismatch: peer is running {peer_instance!r}, "
             f"we are running {instance!r}"
         )
-    if expected_id is not None and int(node_id) != int(expected_id):
+    if expected_id is not None and node_id != int(expected_id):
         raise WireError(
             f"peer identified as node {node_id}, expected {expected_id}"
         )
@@ -262,6 +252,20 @@ def check_hello(
 def is_atomic(msg: Message) -> bool:
     """True for channel-level broadcast envelopes (``dst == ALL``)."""
     return msg.dst == ALL
+
+
+async def read_hello(
+    reader: Any, *, instance: str, expected_id: Optional[int] = None
+) -> int:
+    """Read the peer's HELLO frame from ``reader`` and validate it with
+    :func:`check_hello`; returns the peer's node id."""
+    (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
+    if length > MAX_FRAME_BYTES:
+        raise WireError(f"oversized HELLO frame ({length} bytes)")
+    record = decode_body(await reader.readexactly(length))
+    if record[0] != HELLO:
+        raise WireError(f"expected HELLO, got {record[0]!r}")
+    return check_hello(record, instance=instance, expected_id=expected_id)
 
 
 async def read_frames(reader: Any) -> Any:

@@ -22,12 +22,15 @@ from repro.obs.fleet import (
 )
 
 #: (algorithm, knobs) — 4..7 nodes, spanning the exact-delta,
-#: epsilon-approximate, and k-hull probe parameterisations.
+#: epsilon-approximate, and k-hull probe parameterisations, plus one
+#: signed-broadcast cluster whose nodes derive their keys from the seed.
 CASES = [
     ("averaging", dict(n=4, d=2, f=1, epsilon=5e-2)),
     ("exact", dict(n=5, d=2, f=1)),
     ("krelaxed", dict(n=6, d=2, f=1, k=1)),
+    ("algo", dict(n=4, d=2, f=1, broadcast="dolev-strong")),
 ]
+IDS = ["averaging", "exact", "krelaxed", "algo-dolev-strong"]
 
 
 def sim_verdicts(algorithm: str, knobs: dict, seed: int) -> dict[str, bool]:
@@ -47,12 +50,11 @@ def live_verdicts(
     trace_dir = tmp_path / "traces"
     (tmp_path / "cluster").mkdir()
     report = launch_local(
-        algorithm, knobs["n"], knobs["d"], knobs["f"],
-        kind="uds", seed=seed,
-        epsilon=knobs.get("epsilon", 5e-2), k=knobs.get("k", 1),
+        RunSpec(algorithm=algorithm, seed=seed, transport="live-uds", **knobs),
         workdir=str(tmp_path / "cluster"), trace_dir=str(trace_dir),
     )
     assert report["ok"], report
+    assert report["validity_ok"] and report["agreement_ok"], report
     trails = load_trails(discover_trails(str(trace_dir)))
     assert len(trails) == knobs["n"]
     graph, stitch_report = stitch(trails)
@@ -65,7 +67,7 @@ def live_verdicts(
 
 class TestProbeConformance:
     @pytest.mark.parametrize(
-        "algorithm,knobs", CASES, ids=[c[0] for c in CASES]
+        "algorithm,knobs", CASES, ids=IDS
     )
     def test_fleet_verdicts_match_sim(self, algorithm, knobs, tmp_path):
         seed = 23

@@ -54,9 +54,12 @@ def topology_event(pid: int) -> dict:
         "type": "event", "t": 0.0, "name": "transport.node.topology",
         "level": "info",
         "fields": {
-            "pid": pid, "algorithm": "averaging", "n": N, "d": D, "f": 0,
-            "seed": SEED, "input_scale": SCALE, "epsilon": 0.05,
-            "p": 2.0, "k": 1, "delta": None, "kind": "uds",
+            "pid": pid, "instance": "test",
+            "spec": {
+                "algorithm": "averaging", "n": N, "d": D, "f": 0,
+                "seed": SEED, "input_scale": SCALE, "epsilon": 0.05,
+                "p": 2.0, "k": 1, "transport": "live-uds",
+            },
         },
     }
 

@@ -35,8 +35,8 @@ class MiniListener:
         self.path = path
         self.node_id = node_id
         self.instance = instance
-        #: Wire version this listener advertises in its HELLO reply — a
-        #: value below WIRE_VERSION makes the dialing link downgrade.
+        #: Wire version this listener advertises in its HELLO reply — any
+        #: value but WIRE_VERSION must fail the dialing link.
         self.version = version
         #: False replies with our HELLO without checking theirs — lets a
         #: test hand the dialer a mismatching identity to choke on.
@@ -69,9 +69,9 @@ class MiniListener:
             hello = wire.decode_body(await reader.readexactly(length))
             if self.validate:
                 wire.check_hello(hello, instance=self.instance)
-            writer.write(
-                wire.encode_hello(self.node_id, self.instance, self.version)
-            )
+            writer.write(wire.encode_record(
+                (wire.HELLO, self.node_id, self.version, self.instance)
+            ))
             await writer.drain()
             async for record in wire.read_frames(reader):
                 self.records.append(record)
@@ -324,20 +324,17 @@ class TestVersionNegotiation:
 
     def test_v2_peer_receives_stamp(self, tmp_path):
         listener, link = self._exchange(str(tmp_path / "n1.sock"), 2)
-        assert link.wire_version == 2
+        assert link.failed is None
         (record,) = listener.records
         assert wire.message_stamp(record) == self.STAMP
 
-    def test_v1_peer_downgrades_and_stamp_is_stripped(self, tmp_path):
-        # The stamp lives only at wire version 2: against a v1 peer the
-        # link must emit the legacy 7-tuple the peer can decode.
+    def test_v1_peer_fails_the_link_permanently(self, tmp_path):
+        # Version 2 is the only version: a listener answering with a
+        # version-1 HELLO never receives a frame.
         listener, link = self._exchange(str(tmp_path / "n1.sock"), 1)
-        assert link.wire_version == 1
-        (record,) = listener.records
-        assert len(record) == 7
-        assert wire.message_stamp(record) is None
-        seq, decoded = wire.decode_message(record)
-        assert decoded.payload == (1.0,)
+        assert isinstance(link.failed, wire.WireError)
+        assert "version mismatch" in str(link.failed)
+        assert listener.records == []
 
 
 class TestLinkTelemetry:
@@ -436,3 +433,54 @@ class TestSequenceNumbers:
 
         assert asyncio.run(go()) == 1
         assert len(node._pending_msgs[1]) == 1
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize(
+        "record",
+        [
+            (wire.MSG, "x", 1, 0, "bc:1", (), 0, None),
+            (wire.ROUND, 0, "r", True),
+            (wire.HELLO, "zz", 2, INSTANCE),
+        ],
+        ids=["msg-seq-str", "round-round-str", "second-hello"],
+    )
+    def test_receiver_drops_the_link_without_a_task_exception(
+        self, tmp_path, record
+    ):
+        # A malformed frame after the handshake must end the connection
+        # quietly: _serve_conn catches WireError, so no serve task dies
+        # with an unhandled exception.
+        from repro.system.transport.live import LiveNode, NodeAddress
+
+        path = str(tmp_path / "n0.sock")
+        node = LiveNode(
+            0, 2, 0, process=None, address=NodeAddress(0, "uds", path=path),
+            instance=INSTANCE,
+        )
+
+        async def go():
+            errors: list[dict] = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, ctx: errors.append(ctx)
+            )
+            await node.start_server()
+            reader, writer = await asyncio.open_unix_connection(path)
+            writer.write(wire.encode_hello(1, INSTANCE))
+            head = await reader.readexactly(4)
+            (length,) = struct.unpack("!I", head)
+            hello = wire.decode_body(await reader.readexactly(length))
+            writer.write(wire.encode_record(record))
+            await writer.drain()
+            eof = await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+            tasks = list(node._serve_tasks)
+            await node.shutdown()
+            return hello, eof, tasks, errors
+
+        hello, eof, tasks, errors = asyncio.run(go())
+        assert hello[0] == wire.HELLO
+        assert eof == b""  # the node closed the connection
+        assert node.wire_frames_received == 0
+        assert tasks and all(t.exception() is None for t in tasks)
+        assert errors == []

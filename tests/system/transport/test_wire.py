@@ -134,33 +134,19 @@ class TestVersionedMessages:
         assert len(record) == 8
         assert wire.message_stamp(record) is None
 
-    def test_v1_downgrade_strips_stamp(self):
-        # encode_for_version at version 1 must emit the legacy 7-tuple a
-        # version-1 peer can decode.
-        rec = wire.message_record(Message(0, 1, "val", ()), 5, self.STAMP)
-        record = roundtrip(wire.encode_for_version(rec, 1))
-        assert len(record) == 7
-        assert wire.message_stamp(record) is None
-        seq, decoded = wire.decode_message(record)
-        assert seq == 5
-        assert decoded.tag == "val"
-
     def test_message_record_copies_payload_at_enqueue(self):
         payload = np.array([1.0, 2.0])
         rec = wire.message_record(Message(0, 1, "bc:0", payload), 0)
         payload[0] = 99.0  # sender mutates after queueing, before encode
-        _, decoded = wire.decode_message(roundtrip(wire.encode_for_version(rec, 2)))
+        _, decoded = wire.decode_message(roundtrip(wire.encode_record(rec)))
         assert decoded.payload[0] == 1.0
 
-    def test_negotiate_picks_newest_common_version(self):
-        assert wire.negotiate(1) == 1
-        assert wire.negotiate(2) == 2
-        assert wire.negotiate(99) == wire.WIRE_VERSION
-
-    def test_v1_hello_accepted(self):
-        record = roundtrip(wire.encode_hello(3, "run-x", version=1))
-        assert wire.check_hello(record, instance="run-x", expected_id=3) == 3
-        assert wire.hello_version(record) == 1
+    def test_v1_hello_rejected(self):
+        # Version 2 is the only version: a HELLO advertising version 1
+        # fails the handshake like any other version.
+        record = roundtrip(wire.encode_record((wire.HELLO, 3, 1, "run-x")))
+        with pytest.raises(wire.WireError, match="version mismatch"):
+            wire.check_hello(record, instance="run-x", expected_id=3)
 
 
 class TestControlRecords:
@@ -170,7 +156,7 @@ class TestControlRecords:
         assert wire.check_hello(record, instance="run-x", expected_id=3) == 3
 
     def test_hello_version_mismatch(self):
-        record = roundtrip(wire.encode_hello(3, "run-x", version=99))
+        record = roundtrip(wire.encode_record((wire.HELLO, 3, 99, "run-x")))
         with pytest.raises(wire.WireError, match="version mismatch"):
             wire.check_hello(record, instance="run-x")
 
@@ -222,6 +208,38 @@ class TestMalformedFrames:
     )
     def test_wrong_arity(self, record):
         with pytest.raises(wire.WireError, match="malformed"):
+            wire.decode_body(pickle.dumps(record))
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            (wire.MSG, "x", 0, 1, "bc:0", (), 0, None),
+            (wire.MSG, 0, [1], 1, "bc:0", (), 0, None),
+            (wire.MSG, 0, 0, 1, "bc:0", (), 0, (1, 2)),
+            (wire.MSG, 0, 0, 1, "bc:0", (), 0, (1, 2, [3])),
+            (wire.MSG, 0, 0, 1, 7, (), 0, None),
+            (wire.MSG, 0, 0, 1, "bc:0", (), "r", None),
+            (wire.MSG, 0, 0, 1, "bc:0", (), 0),
+            (wire.HELLO, "zz", 2, "i"),
+            (wire.HELLO, 0, 2, None),
+            (wire.ROUND, 0, "r", True),
+            (wire.ROUND, 0, 1, 1),
+            (wire.DECIDED, 0, None),
+            ([wire.MSG], 0),
+        ],
+        ids=[
+            "msg-seq-str", "msg-src-list", "msg-stamp-2-fields",
+            "msg-stamp-clock-list", "msg-tag-int", "msg-round-str",
+            "msg-v1-7-fields", "hello-id-str", "hello-instance-none",
+            "round-round-str", "round-decided-int", "decided-id-none",
+            "unhashable-type-tag",
+        ],
+    )
+    def test_mistyped_fields(self, record):
+        # Every record kind's fields are type-checked at the decoder, so
+        # check_hello, decode_message, message_stamp and the receiver
+        # never see a field they cannot use.
+        with pytest.raises(wire.WireError):
             wire.decode_body(pickle.dumps(record))
 
 

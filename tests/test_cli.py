@@ -515,11 +515,12 @@ class TestFleetCLI:
                  "run_id": f"cli-n{pid}", "wall_time": 100.0},
                 {"type": "event", "t": 0.0,
                  "name": "transport.node.topology", "level": "info",
-                 "fields": {"pid": pid, "algorithm": "averaging",
-                            "n": n, "d": d, "f": 0, "seed": seed,
-                            "input_scale": scale, "epsilon": 0.05,
-                            "p": 2.0, "k": 1, "delta": None,
-                            "kind": "uds"}},
+                 "fields": {"pid": pid, "instance": "cli",
+                            "spec": {"algorithm": "averaging",
+                                     "n": n, "d": d, "f": 0, "seed": seed,
+                                     "input_scale": scale, "epsilon": 0.05,
+                                     "p": 2.0, "k": 1,
+                                     "transport": "live-uds"}}},
                 {"type": "event", "t": 1.0,
                  "name": "transport.node.decision", "level": "info",
                  "fields": {"pid": pid, "decided": True,
@@ -598,3 +599,40 @@ class TestFleetCLI:
     def test_no_trails_is_a_usage_error(self, capsys):
         assert main(["fleet", "stitch"]) == 2
         assert "fleet needs per-node trails" in capsys.readouterr().err
+
+
+class TestLaunchCLI:
+    def test_uds_cluster_writes_the_check_verdict(self, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "report.json"
+        code = main(["launch", "--transport", "uds", "--n", "4",
+                     "--out", str(out)])
+        assert code == 0, capsys.readouterr()
+        assert "validity ok" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert report["ok"] is True
+        assert report["kind"] == "uds"
+        assert report["topology"]["spec"]["transport"] == "live-uds"
+        for key in ("agreement_ok", "validity_ok", "termination_ok"):
+            assert report[key] is True, key
+        assert report["violations"] == {}
+        assert report["agreement_spread"] <= report["agreement_tolerance"]
+
+    def test_spec_the_builder_refuses_is_a_usage_error(self, capsys):
+        # bracha is a broadcast kind, but not one the synchronous
+        # algorithms build: the launcher says so before spawning nodes.
+        code = main(["launch", "--algorithm", "algo", "--broadcast",
+                     "bracha", "--transport", "uds", "--n", "4"])
+        assert code == 2
+        assert "unknown broadcast 'bracha'" in capsys.readouterr().err
+
+    def test_broadcast_choices_are_the_broadcast_kinds(self):
+        from repro.system.broadcast.interface import BROADCAST_KINDS
+
+        parser = build_parser()
+        sub = next(
+            a for a in parser._actions if a.dest == "command"
+        ).choices["launch"]
+        action = next(a for a in sub._actions if a.dest == "broadcast")
+        assert tuple(action.choices) == BROADCAST_KINDS + ("atomic",)
